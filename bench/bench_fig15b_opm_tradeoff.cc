@@ -58,8 +58,7 @@ main()
 
         for (uint32_t b : bit_widths) {
             const QuantizedModel qm = quantizeModel(apollo.model, b);
-            OpmSimulator opm(qm, 1);
-            const auto hw_pred = opm.simulate(proxies);
+            const auto hw_pred = Inference(qm, 1).predict(proxies);
             const double hw_nrmse = nrmse(ctx.test.y, hw_pred);
             const OpmHardwareReport rep = analyzeOpmHardware(
                 ctx.netlist, qm, 32, toggle_rate);

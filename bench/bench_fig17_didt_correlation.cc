@@ -29,8 +29,7 @@ main()
     const QuantizedModel qm = quantizeModel(res.model, 10);
     const BitColumnMatrix proxies =
         ctx.test.X.selectColumns(res.model.proxyIds);
-    OpmSimulator opm(qm, 1);
-    const std::vector<float> est = opm.simulate(proxies);
+    const std::vector<float> est = Inference(qm, 1).predict(proxies);
 
     const double vdd = 0.75;
     const DidtAnalysis didt = analyzeDidt(ctx.test.y, est, vdd);

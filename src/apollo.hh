@@ -252,11 +252,14 @@ class Trainer
  *
  * Quantized engine (bit-true OPM):
  *   Inference opm(quantizeModel(result.model, 10), 32);
- *   auto hw = opm.predict(proxies);             // == OpmSimulator
+ *   auto hw = opm.predict(proxies);             // == ref::opmSimulate
  *   opm.stream(reader, sink);                   // same, bounded memory
  *
  * Streaming and batch calls produce bit-identical samples (see
- * flow/stream_engine.hh for the argument).
+ * flow/stream_engine.hh for the argument). Quantized batch and stream
+ * run the same bit-parallel StreamPipeline; predict() is one
+ * single-threaded whole-matrix chunk, so it may be called from inside
+ * a parallelFor body.
  */
 class Inference
 {
@@ -278,18 +281,11 @@ class Inference
 
     /**
      * Batch inference over a proxy-layout matrix: per-cycle power for
-     * the float engine, one bit-true sample per T-cycle window for the
-     * quantized engine.
+     * the float engine, one bit-true sample per complete T-cycle
+     * window for the quantized engine (trailing partial window
+     * dropped). A column count other than proxyCount() is fatal.
      */
-    std::vector<float>
-    predict(const BitColumnMatrix &Xq) const
-    {
-        if (qmodel_) {
-            OpmSimulator sim(*qmodel_, windowT_);
-            return sim.simulate(Xq);
-        }
-        return model_.predictProxies(Xq);
-    }
+    std::vector<float> predict(const BitColumnMatrix &Xq) const;
 
     /** Per-cycle batch inference over a full M-column matrix. */
     std::vector<float>

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace apollo {
@@ -140,44 +139,6 @@ OpmSimulator::stepSegment(int64_t segment_sum, uint32_t len)
         out.power = model_.dequantize(out.raw);
         accumulator_ = 0;
         phase_ = 0;
-    }
-    return out;
-}
-
-std::vector<float>
-OpmSimulator::simulate(const BitColumnMatrix &Xq)
-{
-    APOLLO_REQUIRE(Xq.cols() == model_.proxyCount(),
-                   "proxy matrix arity mismatch");
-    reset();
-    const size_t n = Xq.rows();
-    const size_t words = (Xq.cols() + 63) / 64;
-    std::vector<uint64_t> row_bits(words);
-
-    std::vector<float> out;
-    out.reserve(n / T_);
-    for (size_t i = 0; i < n; ++i) {
-        // Gather this cycle's proxy bits from the column-major matrix.
-        std::fill(row_bits.begin(), row_bits.end(), 0);
-        for (size_t q = 0; q < Xq.cols(); ++q)
-            if (Xq.get(i, q))
-                row_bits[q >> 6] |= 1ULL << (q & 63);
-        const Output sample = step(row_bits.data());
-        if (sample.valid)
-            out.push_back(static_cast<float>(sample.power));
-    }
-    APOLLO_COUNT("apollo.opm.simulations", 1);
-    APOLLO_COUNT("apollo.opm.cycles", n);
-    APOLLO_COUNT("apollo.opm.windows", out.size());
-    if (APOLLO_OBS_ON() && n > 0 && Xq.cols() > 0) {
-        uint64_t ones = 0;
-        for (size_t q = 0; q < Xq.cols(); ++q)
-            ones += Xq.colPopcount(q);
-        APOLLO_OBSERVE("apollo.opm.toggle_density",
-                       static_cast<double>(ones) /
-                           (static_cast<double>(n) *
-                            static_cast<double>(Xq.cols())),
-                       ::apollo::obs::ratioBounds());
     }
     return out;
 }

@@ -7,16 +7,19 @@
  * emits the window average by dropping the low log2(T) bits — T is a
  * power of two so the division is a shift. Output latency is two
  * cycles (registered proxy inputs + pipelined sum), matching §7.5.
+ *
+ * This class carries the sequential accumulator state. Whole traces
+ * are evaluated by the bit-parallel pipeline (Inference::predict,
+ * flow/stream_engine.hh), which replays window segments through
+ * stepSegment(); the per-cycle batch oracle is ref::opmSimulate.
  */
 
 #ifndef APOLLO_OPM_OPM_SIMULATOR_HH
 #define APOLLO_OPM_OPM_SIMULATOR_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "opm/quantize.hh"
-#include "util/bitvec.hh"
 
 namespace apollo {
 
@@ -90,12 +93,6 @@ class OpmSimulator
     static constexpr uint32_t latencyCycles = 2;
 
     uint32_t windowCycles() const { return T_; }
-
-    /**
-     * Run over a proxy-toggle matrix (columns ordered like the model's
-     * proxyIds); returns one power value per complete T-window.
-     */
-    std::vector<float> simulate(const BitColumnMatrix &Xq);
 
   private:
     QuantizedModel model_;

@@ -246,9 +246,9 @@ ProxyTraceReader::readBlock()
     // Enforce the packed zero-tail contract on untrusted input: the
     // whole-block fast path in next() hands this matrix to consumers
     // without re-slicing, and the word-at-a-time kernels (popcount
-    // windows, axpyColumnI64) trust that bits past `rows` in each
-    // column's last word are zero — a forged tail word would count
-    // phantom cycles or index past per-row accumulators.
+    // windows and their small-T set-bit walk) trust that bits past
+    // `rows` in each column's last word are zero — a forged tail word
+    // would count phantom cycles or index past the segment sums.
     if (rows & 63) {
         const uint64_t tail_mask =
             ~uint64_t{0} << (rows & 63);

@@ -1,7 +1,8 @@
 #include "util/bitvec_kernels.hh"
 
 #include <bit>
-#include <cstdlib>
+
+#include "util/cpu_dispatch.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define APOLLO_HAVE_AVX512_KERNELS 1
@@ -254,35 +255,11 @@ axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
 
 #endif // APOLLO_HAVE_AVX512_KERNELS
 
-namespace {
-
-bool
-detectAvx512()
-{
 #ifdef APOLLO_HAVE_AVX512_KERNELS
-    if (const char *env = std::getenv("APOLLO_NO_AVX512"))
-        if (env[0] != '\0' && env[0] != '0')
-            return false;
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512dq") &&
-           __builtin_cpu_supports("avx512vl");
-#else
-    return false;
-#endif
-}
-
-const bool kUseAvx512 = detectAvx512();
-
+namespace {
+const bool kUseAvx512 = cpu::enabledFeatures().avx512;
 } // namespace
 
-bool
-avx512Enabled()
-{
-    return kUseAvx512;
-}
-
-#ifdef APOLLO_HAVE_AVX512_KERNELS
 const DotFn dotWords = kUseAvx512 ? dotWordsAvx512 : dotWordsPortable;
 const AxpyFn axpyWords = kUseAvx512 ? axpyWordsAvx512 : axpyWordsPortable;
 const DotFn dotWordsFast =

@@ -13,7 +13,7 @@
  *    word by popcount.
  *
  * The dispatch pointers resolve once at static initialization from
- * __builtin_cpu_supports (overridable with APOLLO_NO_AVX512=1 for
+ * util/cpu_dispatch (overridable with APOLLO_NO_AVX512=1 for
  * debugging/regression runs). Both implementations are exported so
  * tests can compare them on any machine.
  *
@@ -44,10 +44,6 @@ double dotWordsPortable(const uint64_t *words, size_t nwords, size_t nrows,
                         const float *dense);
 void axpyWordsPortable(const uint64_t *words, size_t nwords, size_t nrows,
                        float delta, float *dense);
-
-/** True when the AVX-512 kernels are compiled in and the CPU + the
- *  APOLLO_NO_AVX512 override allow them. */
-bool avx512Enabled();
 
 /** Best available implementations, resolved once at load time. */
 extern const DotFn dotWords;

@@ -1,7 +1,6 @@
 #include "util/hash_kernels.hh"
 
-#include <cstdlib>
-
+#include "util/cpu_dispatch.hh"
 #include "util/rng.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -75,33 +74,11 @@ unitDrawsAvx512(uint64_t seed, uint64_t cycle0, size_t n, float *out)
 
 #endif // APOLLO_HAVE_AVX512_HASH
 
-namespace {
-
-bool
-detectAvx512()
-{
 #ifdef APOLLO_HAVE_AVX512_HASH
-    const char *off = std::getenv("APOLLO_NO_AVX512");
-    if (off && off[0] == '1')
-        return false;
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512dq");
-#else
-    return false;
-#endif
-}
-
-const bool kUseAvx512 = detectAvx512();
-
+namespace {
+const bool kUseAvx512 = cpu::enabledFeatures().avx512;
 } // namespace
 
-bool
-avx512Enabled()
-{
-    return kUseAvx512;
-}
-
-#ifdef APOLLO_HAVE_AVX512_HASH
 const UnitDrawFn unitDraws = kUseAvx512 ? unitDrawsAvx512
                                         : unitDrawsPortable;
 #else

@@ -15,7 +15,7 @@
  * exact on every path, the u64 -> float conversion of a value < 2^24 is
  * exact, and the final scale is a power of two. Dispatch mirrors
  * util/bitvec_kernels: resolved once at static initialization from
- * __builtin_cpu_supports, overridable with APOLLO_NO_AVX512=1.
+ * util/cpu_dispatch, overridable with APOLLO_NO_AVX512=1.
  */
 
 #ifndef APOLLO_UTIL_HASH_KERNELS_HH
@@ -38,9 +38,6 @@ void unitDrawsPortable(uint64_t seed, uint64_t cycle0, size_t n,
 /** Same draw at arbitrary (non-contiguous) cycle keys. */
 void unitDrawsAt(uint64_t seed, const uint64_t *cycles, size_t n,
                  float *out);
-
-/** True when the AVX-512 kernel is compiled in and allowed to run. */
-bool avx512Enabled();
 
 /** Best available implementation, resolved once at load time. */
 extern const UnitDrawFn unitDraws;

@@ -1,8 +1,9 @@
 #include "util/popcnt_kernels.hh"
 
+#include <algorithm>
 #include <bit>
-#include <cstdlib>
 
+#include "util/cpu_dispatch.hh"
 #include "util/logging.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -22,6 +23,121 @@ highEdgeMask(size_t bit_end)
                           : ~uint64_t{0};
 }
 
+/**
+ * Windows of at most this many cycles take the set-bit walk: one add
+ * per set bit beats one masked popcount per window there. Batch
+ * predict, Q = 48 at 20% toggle density, AVX-512 host: 101 vs 62
+ * Mcyc/s at T = 4; at T = 8 the per-window count wins, 132 vs 112.
+ */
+constexpr uint32_t kSetBitWalkMaxT = 4;
+
+// The shared kernel bodies below have the default target and are
+// always inlined, so each table's copy compiles with that table's ISA
+// (hardware POPCNT for std::popcount in the AVX2 / AVX-512 tables).
+#define APOLLO_KERNEL_INLINE inline __attribute__((always_inline))
+
+using CountWordsFn = uint64_t (*)(const uint64_t *, size_t);
+
+/** Popcount of bits [bit_begin, bit_end), edge words masked. */
+template <CountWordsFn CountWords>
+APOLLO_KERNEL_INLINE uint64_t
+countRangeWith(const uint64_t *words, size_t bit_begin, size_t bit_end)
+{
+    if (bit_begin >= bit_end)
+        return 0;
+    const size_t fw = bit_begin >> 6;
+    const size_t lw = (bit_end - 1) >> 6;
+    const uint64_t first_mask = ~uint64_t{0} << (bit_begin & 63);
+    const uint64_t last_mask = highEdgeMask(bit_end);
+    if (fw == lw)
+        return static_cast<uint64_t>(
+            std::popcount(words[fw] & first_mask & last_mask));
+    uint64_t total =
+        static_cast<uint64_t>(std::popcount(words[fw] & first_mask)) +
+        static_cast<uint64_t>(std::popcount(words[lw] & last_mask));
+    if (lw - fw > 1)
+        total += CountWords(words + fw + 1, lw - fw - 1);
+    return total;
+}
+
+/**
+ * T = 32 at phase 0 from word k on: two windows per word; the tail
+ * word's partial windows count correctly because bits past nbits are
+ * zero.
+ */
+APOLLO_KERNEL_INLINE void
+accumHalfWords(const uint64_t *words, size_t nbits, int64_t weight,
+               int64_t *seg_sums, size_t k)
+{
+    const size_t nseg = (nbits + 31) / 32;
+    const size_t nwords = (nbits + 63) / 64;
+    for (; k < nwords; ++k) {
+        const uint64_t v = words[k];
+        seg_sums[2 * k] += weight * static_cast<int64_t>(
+                               std::popcount(v & 0xffffffffULL));
+        if (2 * k + 1 < nseg)
+            seg_sums[2 * k + 1] +=
+                weight * static_cast<int64_t>(std::popcount(v >> 32));
+    }
+}
+
+/** T = 64 at phase 0 from word k on: one window per word. */
+APOLLO_KERNEL_INLINE void
+accumWords(const uint64_t *words, size_t nbits, int64_t weight,
+           int64_t *seg_sums, size_t k)
+{
+    const size_t nwords = (nbits + 63) / 64;
+    for (; k < nwords; ++k)
+        seg_sums[k] +=
+            weight * static_cast<int64_t>(std::popcount(words[k]));
+}
+
+/**
+ * The accumWindowSums() contract for one table, given its word
+ * counter: the set-bit walk for short power-of-two windows,
+ * whole-word fast paths for T = 32 / 64 / multiples of 64 at phase 0,
+ * else one masked range count per segment.
+ */
+template <CountWordsFn CountWords>
+APOLLO_KERNEL_INLINE void
+accumWindowSumsWith(const uint64_t *words, size_t nbits, uint32_t T,
+                    uint32_t phase0, int64_t weight, int64_t *seg_sums)
+{
+    if (T <= kSetBitWalkMaxT && std::has_single_bit(T)) {
+        // Each set bit at row p belongs to segment (p + phase0) / T.
+        const int shift = std::countr_zero(T);
+        const size_t nwords = (nbits + 63) / 64;
+        for (size_t k = 0; k < nwords; ++k)
+            for (uint64_t v = words[k]; v; v &= v - 1) {
+                const size_t p =
+                    k * 64 + static_cast<size_t>(std::countr_zero(v));
+                seg_sums[(p + phase0) >> shift] += weight;
+            }
+        return;
+    }
+    if (phase0 == 0 && T == 64)
+        return accumWords(words, nbits, weight, seg_sums, 0);
+    if (phase0 == 0 && T == 32)
+        return accumHalfWords(words, nbits, weight, seg_sums, 0);
+    if (phase0 == 0 && (T & 63) == 0) {
+        const size_t wpw = T / 64;
+        const size_t nwords = (nbits + 63) / 64;
+        for (size_t k = 0, s = 0; k < nwords; k += wpw)
+            seg_sums[s++] += weight * static_cast<int64_t>(CountWords(
+                                 words + k, std::min(wpw, nwords - k)));
+        return;
+    }
+    size_t a = 0;
+    size_t s = 0;
+    size_t b = nbits < T - phase0 ? nbits : T - phase0;
+    while (a < nbits) {
+        seg_sums[s++] += weight * static_cast<int64_t>(
+                             countRangeWith<CountWords>(words, a, b));
+        a = b;
+        b = nbits < a + T ? nbits : a + T;
+    }
+}
+
 // --- Scalar (portable) --------------------------------------------------
 
 uint64_t
@@ -36,58 +152,15 @@ countWordsScalar(const uint64_t *words, size_t nwords)
 uint64_t
 countRangeScalar(const uint64_t *words, size_t bit_begin, size_t bit_end)
 {
-    if (bit_begin >= bit_end)
-        return 0;
-    const size_t fw = bit_begin >> 6;
-    const size_t lw = (bit_end - 1) >> 6;
-    const uint64_t first_mask = ~uint64_t{0} << (bit_begin & 63);
-    const uint64_t last_mask = highEdgeMask(bit_end);
-    if (fw == lw)
-        return static_cast<uint64_t>(
-            std::popcount(words[fw] & first_mask & last_mask));
-    uint64_t total =
-        static_cast<uint64_t>(std::popcount(words[fw] & first_mask)) +
-        static_cast<uint64_t>(std::popcount(words[lw] & last_mask));
-    for (size_t k = fw + 1; k < lw; ++k)
-        total += static_cast<uint64_t>(std::popcount(words[k]));
-    return total;
+    return countRangeWith<countWordsScalar>(words, bit_begin, bit_end);
 }
 
 void
 accumWindowSumsScalar(const uint64_t *words, size_t nbits, uint32_t T,
                       uint32_t phase0, int64_t weight, int64_t *seg_sums)
 {
-    if (phase0 == 0 && T == 64) {
-        // One window per word; the tail word's partial window counts
-        // correctly because bits past nbits are zero.
-        const size_t nwords = (nbits + 63) / 64;
-        for (size_t k = 0; k < nwords; ++k)
-            seg_sums[k] +=
-                weight * static_cast<int64_t>(std::popcount(words[k]));
-        return;
-    }
-    if (phase0 == 0 && T == 32) {
-        const size_t nseg = (nbits + 31) / 32;
-        const size_t nwords = (nbits + 63) / 64;
-        for (size_t k = 0; k < nwords; ++k) {
-            const uint64_t v = words[k];
-            seg_sums[2 * k] += weight *
-                static_cast<int64_t>(std::popcount(v & 0xffffffffULL));
-            if (2 * k + 1 < nseg)
-                seg_sums[2 * k + 1] +=
-                    weight * static_cast<int64_t>(std::popcount(v >> 32));
-        }
-        return;
-    }
-    size_t a = 0;
-    size_t s = 0;
-    size_t b = nbits < T - phase0 ? nbits : T - phase0;
-    while (a < nbits) {
-        seg_sums[s++] +=
-            weight * static_cast<int64_t>(countRangeScalar(words, a, b));
-        a = b;
-        b = nbits < a + T ? nbits : a + T;
-    }
+    accumWindowSumsWith<countWordsScalar>(words, nbits, T, phase0, weight,
+                                          seg_sums);
 }
 
 constexpr Kernels kScalarKernels = {countWordsScalar, countRangeScalar,
@@ -133,72 +206,15 @@ countWordsAvx2(const uint64_t *words, size_t nwords)
 __attribute__((target("avx2,popcnt"))) uint64_t
 countRangeAvx2(const uint64_t *words, size_t bit_begin, size_t bit_end)
 {
-    if (bit_begin >= bit_end)
-        return 0;
-    const size_t fw = bit_begin >> 6;
-    const size_t lw = (bit_end - 1) >> 6;
-    const uint64_t first_mask = ~uint64_t{0} << (bit_begin & 63);
-    const uint64_t last_mask = highEdgeMask(bit_end);
-    if (fw == lw)
-        return static_cast<uint64_t>(
-            __builtin_popcountll(words[fw] & first_mask & last_mask));
-    uint64_t total =
-        static_cast<uint64_t>(
-            __builtin_popcountll(words[fw] & first_mask)) +
-        static_cast<uint64_t>(
-            __builtin_popcountll(words[lw] & last_mask));
-    if (lw - fw > 1)
-        total += countWordsAvx2(words + fw + 1, lw - fw - 1);
-    return total;
+    return countRangeWith<countWordsAvx2>(words, bit_begin, bit_end);
 }
 
 __attribute__((target("avx2,popcnt"))) void
 accumWindowSumsAvx2(const uint64_t *words, size_t nbits, uint32_t T,
                     uint32_t phase0, int64_t weight, int64_t *seg_sums)
 {
-    if (phase0 == 0 && T == 64) {
-        const size_t nwords = (nbits + 63) / 64;
-        for (size_t k = 0; k < nwords; ++k)
-            seg_sums[k] += weight *
-                static_cast<int64_t>(__builtin_popcountll(words[k]));
-        return;
-    }
-    if (phase0 == 0 && T == 32) {
-        const size_t nseg = (nbits + 31) / 32;
-        const size_t nwords = (nbits + 63) / 64;
-        for (size_t k = 0; k < nwords; ++k) {
-            const uint64_t v = words[k];
-            seg_sums[2 * k] += weight *
-                static_cast<int64_t>(
-                    __builtin_popcountll(v & 0xffffffffULL));
-            if (2 * k + 1 < nseg)
-                seg_sums[2 * k + 1] += weight *
-                    static_cast<int64_t>(__builtin_popcountll(v >> 32));
-        }
-        return;
-    }
-    if (phase0 == 0 && (T & 63) == 0) {
-        const size_t wpw = T / 64;
-        const size_t nwords = (nbits + 63) / 64;
-        size_t k = 0;
-        size_t s = 0;
-        while (k < nwords) {
-            const size_t take = nwords - k < wpw ? nwords - k : wpw;
-            seg_sums[s++] += weight *
-                static_cast<int64_t>(countWordsAvx2(words + k, take));
-            k += take;
-        }
-        return;
-    }
-    size_t a = 0;
-    size_t s = 0;
-    size_t b = nbits < T - phase0 ? nbits : T - phase0;
-    while (a < nbits) {
-        seg_sums[s++] +=
-            weight * static_cast<int64_t>(countRangeAvx2(words, a, b));
-        a = b;
-        b = nbits < a + T ? nbits : a + T;
-    }
+    accumWindowSumsWith<countWordsAvx2>(words, nbits, T, phase0, weight,
+                                        seg_sums);
 }
 
 constexpr Kernels kAvx2Kernels = {countWordsAvx2, countRangeAvx2,
@@ -230,36 +246,13 @@ countWordsAvx512(const uint64_t *words, size_t nwords)
 __attribute__((target(APOLLO_POPCNT_AVX512_TARGET))) uint64_t
 countRangeAvx512(const uint64_t *words, size_t bit_begin, size_t bit_end)
 {
-    if (bit_begin >= bit_end)
-        return 0;
-    const size_t fw = bit_begin >> 6;
-    const size_t lw = (bit_end - 1) >> 6;
-    const uint64_t first_mask = ~uint64_t{0} << (bit_begin & 63);
-    const uint64_t last_mask = highEdgeMask(bit_end);
-    if (fw == lw)
-        return static_cast<uint64_t>(
-            __builtin_popcountll(words[fw] & first_mask & last_mask));
-    uint64_t total =
-        static_cast<uint64_t>(
-            __builtin_popcountll(words[fw] & first_mask)) +
-        static_cast<uint64_t>(
-            __builtin_popcountll(words[lw] & last_mask));
-    if (lw - fw > 1)
-        total += countWordsAvx512(words + fw + 1, lw - fw - 1);
-    return total;
+    return countRangeWith<countWordsAvx512>(words, bit_begin, bit_end);
 }
 
 __attribute__((target(APOLLO_POPCNT_AVX512_TARGET))) void
 accumWindowSumsAvx512(const uint64_t *words, size_t nbits, uint32_t T,
                       uint32_t phase0, int64_t weight, int64_t *seg_sums)
 {
-    // The vectorized window paths multiply 32-bit lane counts by the
-    // weight in 32-bit lanes; bail to the masked-range path for
-    // weights that could overflow there (quantized weights are far
-    // smaller — |qw| < 2^23 for B <= 24 — so this never triggers in
-    // the OPM engine).
-    const bool narrow_weight =
-        weight > -(int64_t{1} << 25) && weight < (int64_t{1} << 25);
     if (phase0 == 0 && T == 64) {
         const size_t nwin = (nbits + 63) / 64;
         const __m512i vw = _mm512_set1_epi64(weight);
@@ -272,11 +265,14 @@ accumWindowSumsAvx512(const uint64_t *words, size_t nbits, uint32_t T,
                 seg_sums + k,
                 _mm512_add_epi64(acc, _mm512_mullo_epi64(cnt, vw)));
         }
-        for (; k < nwin; ++k)
-            seg_sums[k] += weight *
-                static_cast<int64_t>(__builtin_popcountll(words[k]));
-        return;
+        return accumWords(words, nbits, weight, seg_sums, k);
     }
+    // The T = 32 vector path multiplies 32-bit lane counts by the
+    // weight in 32-bit lanes; weights that could overflow there take
+    // the shared path (quantized weights are far smaller — |qw| < 2^23
+    // for B <= 24 — so this never triggers in the OPM engine).
+    const bool narrow_weight =
+        weight > -(int64_t{1} << 25) && weight < (int64_t{1} << 25);
     if (phase0 == 0 && T == 32 && narrow_weight) {
         // 16 windows per iteration: VPOPCNTD counts each 32-bit lane
         // (= one window), the products widen to two int64 vectors.
@@ -300,82 +296,31 @@ accumWindowSumsAvx512(const uint64_t *words, size_t nbits, uint32_t T,
                                 _mm512_add_epi64(a1, hi64));
             k += 8;
         }
-        const size_t nwords = (nbits + 63) / 64;
-        for (; k < nwords; ++k) {
-            const uint64_t v = words[k];
-            seg_sums[2 * k] += weight *
-                static_cast<int64_t>(
-                    __builtin_popcountll(v & 0xffffffffULL));
-            if (2 * k + 1 < nseg)
-                seg_sums[2 * k + 1] += weight *
-                    static_cast<int64_t>(__builtin_popcountll(v >> 32));
-        }
-        return;
+        return accumHalfWords(words, nbits, weight, seg_sums, k);
     }
-    if (phase0 == 0 && (T & 63) == 0) {
-        const size_t wpw = T / 64;
-        const size_t nwords = (nbits + 63) / 64;
-        size_t k = 0;
-        size_t s = 0;
-        while (k < nwords) {
-            const size_t take = nwords - k < wpw ? nwords - k : wpw;
-            seg_sums[s++] += weight *
-                static_cast<int64_t>(countWordsAvx512(words + k, take));
-            k += take;
-        }
-        return;
-    }
-    size_t a = 0;
-    size_t s = 0;
-    size_t b = nbits < T - phase0 ? nbits : T - phase0;
-    while (a < nbits) {
-        seg_sums[s++] += weight *
-            static_cast<int64_t>(countRangeAvx512(words, a, b));
-        a = b;
-        b = nbits < a + T ? nbits : a + T;
-    }
+    accumWindowSumsWith<countWordsAvx512>(words, nbits, T, phase0, weight,
+                                          seg_sums);
 }
 
 constexpr Kernels kAvx512Kernels = {countWordsAvx512, countRangeAvx512,
                                     accumWindowSumsAvx512};
 
-bool
-cpuHasAvx2Popcnt()
-{
-    return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("popcnt");
-}
-
-bool
-cpuHasAvx512Vpopcntdq()
-{
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512dq") &&
-           __builtin_cpu_supports("avx512vl") &&
-           __builtin_cpu_supports("avx512vpopcntdq") &&
-           __builtin_cpu_supports("popcnt");
-}
-
 #endif // APOLLO_HAVE_X86_POPCNT_KERNELS
 
+/** True when the feature set @p f can run @p impl. */
 bool
-envDisabled(const char *name)
+supports(const cpu::Features &f, Impl impl)
 {
-    const char *v = std::getenv(name);
-    return v && v[0] != '\0' && v[0] != '0';
-}
-
-Impl
-detectBestImpl()
-{
-#if APOLLO_HAVE_X86_POPCNT_KERNELS
-    if (!envDisabled("APOLLO_NO_AVX512") && cpuHasAvx512Vpopcntdq())
-        return Impl::Avx512;
-    if (!envDisabled("APOLLO_NO_AVX2") && cpuHasAvx2Popcnt())
-        return Impl::Avx2;
-#endif
-    return Impl::Scalar;
+    switch (impl) {
+      case Impl::Scalar:
+        return true;
+      case Impl::Avx2:
+        return f.avx2 && f.popcnt;
+      case Impl::Avx512:
+        return f.avx512 && f.avx512Vpopcntdq && f.popcnt;
+      default:
+        return false;
+    }
 }
 
 } // namespace
@@ -383,33 +328,13 @@ detectBestImpl()
 bool
 implAvailable(Impl impl)
 {
-    switch (impl) {
-      case Impl::Scalar:
-        return true;
-#if APOLLO_HAVE_X86_POPCNT_KERNELS
-      case Impl::Avx2:
-        return cpuHasAvx2Popcnt();
-      case Impl::Avx512:
-        return cpuHasAvx512Vpopcntdq();
-#endif
-      default:
-        return false;
-    }
+    return supports(cpu::hostFeatures(), impl);
 }
 
 const char *
 implName(Impl impl)
 {
-    switch (impl) {
-      case Impl::Scalar:
-        return "scalar";
-      case Impl::Avx2:
-        return "avx2";
-      case Impl::Avx512:
-        return "avx512";
-      default:
-        return "unknown";
-    }
+    return cpu::isaName(impl);
 }
 
 const Kernels &
@@ -429,7 +354,12 @@ implKernels(Impl impl)
 Impl
 bestImpl()
 {
-    static const Impl best = detectBestImpl();
+    static const Impl best = [] {
+        for (Impl impl : {Impl::Avx512, Impl::Avx2})
+            if (supports(cpu::enabledFeatures(), impl))
+                return impl;
+        return Impl::Scalar;
+    }();
     return best;
 }
 
@@ -437,6 +367,15 @@ const Kernels &
 kernels()
 {
     return implKernels(bestImpl());
+}
+
+const Kernels &
+selectedKernels()
+{
+    const std::optional<Impl> forced = cpu::popcountOverride();
+    if (forced && implAvailable(*forced))
+        return implKernels(*forced);
+    return kernels();
 }
 
 } // namespace apollo::popkernels

@@ -22,10 +22,11 @@
  * zero. countRange() masks its own edges and is safe regardless.
  *
  * Dispatch: kernels() returns the best table the CPU supports,
- * detected once per process. APOLLO_NO_AVX512 (nonzero) hides the
- * AVX-512 table, APOLLO_NO_AVX2 hides AVX2 as well — same convention
- * as util/bitvec_kernels.hh. Per-implementation tables stay reachable
- * through implKernels() for the bench ablation and equivalence tests.
+ * detected once per process through util/cpu_dispatch, which also
+ * applies the APOLLO_NO_AVX512 / APOLLO_NO_AVX2 overrides.
+ * selectedKernels() additionally honours APOLLO_POPCNT. Per-
+ * implementation tables stay reachable through implKernels() for the
+ * bench ablation and equivalence tests.
  */
 
 #ifndef APOLLO_UTIL_POPCNT_KERNELS_HH
@@ -34,12 +35,12 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/cpu_dispatch.hh"
+
 namespace apollo::popkernels {
 
 /** Implementation tiers, in increasing ISA requirement order. */
-enum class Impl : int { Scalar = 0, Avx2 = 1, Avx512 = 2 };
-
-inline constexpr int kImplCount = 3;
+using Impl = cpu::Isa;
 
 /** One implementation's entry points (function-pointer table). */
 struct Kernels
@@ -62,8 +63,11 @@ struct Kernels
      * min(nbits, T - phase0) bits (a window already phase0 cycles
      * deep), each following segment holds up to T — and add
      * weight * popcount(segment) to seg_sums[s] for each segment s.
-     * Requires phase0 < T and the zero-tail contract on @p words;
-     * seg_sums must hold windowSegments(nbits, T, phase0) entries.
+     * Any T >= 1 works: power-of-two windows of at most four cycles
+     * walk the set bits instead of counting per window, the same code
+     * in every table. Requires phase0 < T and the zero-tail contract
+     * on @p words; seg_sums must hold windowSegments(nbits, T, phase0)
+     * entries.
      */
     void (*accumWindowSums)(const uint64_t *words, size_t nbits,
                             uint32_t T, uint32_t phase0, int64_t weight,
@@ -94,6 +98,12 @@ Impl bestImpl();
 
 /** Entry points of bestImpl(). */
 const Kernels &kernels();
+
+/**
+ * The table APOLLO_POPCNT forces (re-read per call) when it names an
+ * available implementation, else kernels().
+ */
+const Kernels &selectedKernels();
 
 } // namespace apollo::popkernels
 

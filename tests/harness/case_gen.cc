@@ -361,8 +361,8 @@ makeBitParallelCase(uint64_t seed)
         break;
       }
       case 3:
-        c.shape = "legacy-small-T";
-        T = 1 + static_cast<uint32_t>(rng.nextBounded(2));
+        c.shape = "small-T";
+        T = uint32_t{1} << rng.nextBounded(3);
         break;
       case 4: {
         c.shape = "word-aligned-T";

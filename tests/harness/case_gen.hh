@@ -97,7 +97,7 @@ TargetQCase makeTargetQCase(uint64_t seed);
  * packed 64-cycle kernels specifically: proxy counts at and around
  * word multiples (63/64/65/127/128/129, and ~150 like the reference
  * OPM), trace lengths at word boundaries (0/1/63/64/65/...), windows
- * below the bit-parallel threshold (T in {1, 2} — legacy path), the
+ * of at most four cycles (T in {1, 2, 4} — the set-bit walk), the
  * word-aligned fast paths (T in {64, 128, 256}), and the vectorized
  * T = 32 path.
  */

@@ -314,7 +314,7 @@ runOpmSimulate(uint64_t seed)
                    static_cast<long long>(bounds.minSum),
                    static_cast<long long>(bounds.maxSum), need);
 
-    const std::vector<float> prod = sim.simulate(c.Xq);
+    const std::vector<float> prod = Inference(qm, c.T).predict(c.Xq);
     const std::vector<float> want = ref::opmSimulate(qm, c.Xq, c.T);
     return compareExact(prod, want,
                         c.shape + fmt("+B=%u+T=%u", c.bits, c.T));
@@ -390,7 +390,7 @@ class ScopedPopcntEnv
  * One bit-parallel case, checked at every layer: the raw segment-sum
  * kernels per available implementation and window phase against the
  * naive per-cycle src/ref transcription; the quantized streaming
- * engine (bit-parallel and forced-legacy) against ref::opmSimulate
+ * engine (default dispatch) against ref::opmSimulate
  * across a varied chunk schedule (windows straddle chunk boundaries
  * whenever the chunk size is not a multiple of T); the float windowed
  * stream against ref::predictWindowsProxies (the refactor must leave
@@ -426,12 +426,12 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
         }
     }
 
-    // Quantized streaming: bit-parallel (default dispatch) and the
-    // forced-legacy per-cycle path, both against the naive reference.
+    // Quantized streaming (default dispatch) against the naive
+    // reference.
     const std::vector<float> want_q = ref::opmSimulate(qm, c.Xq, c.T);
     const size_t chunk = streamChunkCycles(seed);
-    for (const char *mode : {static_cast<const char *>(nullptr), "off"}) {
-        const ScopedPopcntEnv env(mode);
+    {
+        const ScopedPopcntEnv env(nullptr);
         MatrixChunkReader reader(c.Xq);
         VectorSink sink;
         const StreamingInference engine(qm, c.T);
@@ -439,8 +439,8 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
             StreamConfig().withChunkCycles(chunk);
         auto stats = engine.run(reader, sink, config);
         const std::string shape =
-            c.shape + fmt("+stream[%s]+B=%u+T=%u+chunk=%zu",
-                          mode ? mode : "auto", c.bits, c.T, chunk);
+            c.shape + fmt("+stream[auto]+B=%u+T=%u+chunk=%zu", c.bits,
+                          c.T, chunk);
         if (!stats.ok())
             return fmt("shape=%s: run failed: %s", shape.c_str(),
                        stats.status().message().c_str());
@@ -562,8 +562,7 @@ runQuantizeRoundtrip(uint64_t seed)
                    c.shape.c_str(),
                    quantized.status().toString().c_str());
     const QuantizedModel &qm = *quantized;
-    OpmSimulator sim(qm, c.T);
-    const std::vector<float> opm = sim.simulate(c.Xq);
+    const std::vector<float> opm = Inference(qm, c.T).predict(c.Xq);
 
     const ApolloModel fm = qm.toFloatModel();
     const MultiCycleModel mc{fm, 1};

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apollo.hh"
 #include "core/apollo_trainer.hh"
 #include "core/baselines.hh"
 #include "core/multi_cycle.hh"
@@ -15,7 +16,6 @@
 #include "gen/test_suite.hh"
 #include "ml/metrics.hh"
 #include "opm/opm_hardware.hh"
-#include "opm/opm_simulator.hh"
 #include "rtl/design_builder.hh"
 #include "trace/toggle_trace.hh"
 
@@ -113,8 +113,7 @@ TEST(Integration, QuantizedOpmEndToEnd)
     const QuantizedModel qm = quantizeModel(px.apollo.model, 10);
     const BitColumnMatrix proxies =
         px.test.X.selectColumns(px.apollo.model.proxyIds);
-    OpmSimulator opm(qm, 1);
-    const auto hw = opm.simulate(proxies);
+    const auto hw = Inference(qm, 1).predict(proxies);
     EXPECT_GT(r2Score(px.test.y, hw), 0.92);
 
     const OpmHardwareReport rep =

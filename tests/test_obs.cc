@@ -273,10 +273,9 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
 
     // OPM: quantization + bit-true simulation.
     const QuantizedModel qm = quantizeModel(trained.model, 10);
-    OpmSimulator sim(qm, 1);
     const BitColumnMatrix proxies =
         report->dataset.X.selectColumns(trained.model.proxyIds);
-    const auto hw = sim.simulate(proxies);
+    const auto hw = Inference(qm, 1).predict(proxies);
     EXPECT_EQ(hw.size(), report->dataset.cycles());
 
     const auto counters = reg.counterValues();

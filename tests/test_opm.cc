@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "apollo.hh"
 #include "core/apollo_trainer.hh"
 #include "gen/ga_generator.hh"
 #include "ml/metrics.hh"
@@ -146,8 +147,8 @@ TEST(OpmSimulator, MatchesQuantizedFloatModelPerCycle)
 {
     const auto &fx = fixture();
     const QuantizedModel qm = quantizeModel(fx.model, 12);
-    OpmSimulator opm(qm, 1); // T = 1: per-cycle output
-    const std::vector<float> hw = opm.simulate(fx.testProxies);
+    // T = 1: per-cycle output
+    const std::vector<float> hw = Inference(qm, 1).predict(fx.testProxies);
     const ApolloModel dequant = qm.toFloatModel();
     const std::vector<float> sw =
         dequant.predictProxies(fx.testProxies);
@@ -162,11 +163,10 @@ TEST(OpmSimulator, WindowAverageEqualsMeanOfCycleSums)
     const auto &fx = fixture();
     const QuantizedModel qm = quantizeModel(fx.model, 10);
     const uint32_t T = 8;
-    OpmSimulator opm(qm, T);
-    const std::vector<float> windows = opm.simulate(fx.testProxies);
-
-    OpmSimulator percycle(qm, 1);
-    const std::vector<float> cycles = percycle.simulate(fx.testProxies);
+    const std::vector<float> windows =
+        Inference(qm, T).predict(fx.testProxies);
+    const std::vector<float> cycles =
+        Inference(qm, 1).predict(fx.testProxies);
     ASSERT_EQ(windows.size(), cycles.size() / T);
     for (size_t w = 0; w < windows.size(); ++w) {
         double acc = 0.0;
@@ -197,7 +197,11 @@ TEST(OpmSimulator, DeclaredWidthsNeverOverflow)
     for (size_t i = 0; i < all_ones.rows(); ++i)
         for (size_t q = 0; q < qm.proxyCount(); ++q)
             all_ones.setBit(i, q);
-    EXPECT_NO_THROW(opm.simulate(all_ones));
+    EXPECT_NO_THROW(Inference(qm, T).predict(all_ones));
+    // Per cycle too: step() checks the cycle-sum width every cycle.
+    const std::vector<uint64_t> row((qm.proxyCount() + 63) / 64, ~0ULL);
+    for (size_t i = 0; i < all_ones.rows(); ++i)
+        EXPECT_NO_THROW(opm.step(row.data()));
     EXPECT_GE(opm.accumulatorBits(),
               opm.cycleSumBits() + 6u); // +log2(64)
 }
@@ -212,15 +216,13 @@ TEST(OpmSimulator, TenBitQuantizationAccuracyLossIsSmall)
     const double nrmse_float = nrmse(fx.testLabels, sw);
 
     const QuantizedModel qm = quantizeModel(fx.model, 10);
-    OpmSimulator opm(qm, 1);
-    const std::vector<float> hw = opm.simulate(fx.testProxies);
+    const std::vector<float> hw = Inference(qm, 1).predict(fx.testProxies);
     const double nrmse_q = nrmse(fx.testLabels, hw);
     EXPECT_LT(nrmse_q - nrmse_float, 0.004);
 
     const QuantizedModel qm4 = quantizeModel(fx.model, 4);
-    OpmSimulator opm4(qm4, 1);
     const double nrmse_q4 =
-        nrmse(fx.testLabels, opm4.simulate(fx.testProxies));
+        nrmse(fx.testLabels, Inference(qm4, 1).predict(fx.testProxies));
     EXPECT_GT(nrmse_q4, nrmse_q) << "4-bit must be visibly worse";
 }
 

@@ -208,7 +208,7 @@ TEST(OracleRegression, OpmWidthCoversLargeIntercept)
     EXPECT_GT(bounds.minSum, -limit);
 
     const BitColumnMatrix Xq = checkerboard(8, 2);
-    EXPECT_EQ(sim.simulate(Xq), ref::opmSimulate(qm, Xq, 4));
+    EXPECT_EQ(Inference(qm, 4).predict(Xq), ref::opmSimulate(qm, Xq, 4));
 }
 
 /**

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "apollo.hh"
 
 #include "activity/toggle_columns.hh"
+#include "ref/reference_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
 namespace apollo {
@@ -174,13 +178,12 @@ TEST(StreamInferPackedColumns, CrossChunkCarryMatchesSingleChunk)
     // Chunk sizes that are not multiples of 64 force the stream engine
     // to carry partial packed words (and a mid-window phase) across
     // chunk boundaries; every schedule must equal the single-chunk run
-    // and the batch OPM simulator bit for bit.
+    // and the per-cycle reference OPM bit for bit.
     const size_t n = 777, q = 33;
     const uint32_t T = 16;
     const BitColumnMatrix Xq = randomMatrix(n, q, 0xd1);
     const QuantizedModel qm = quantizeModel(randomModel(q, 0xd2), 10);
-    OpmSimulator sim(qm, T);
-    const std::vector<float> batch = sim.simulate(Xq);
+    const std::vector<float> batch = ref::opmSimulate(qm, Xq, T);
 
     const StreamingInference engine(qm, T);
     std::vector<float> single;
@@ -291,6 +294,24 @@ TEST(StreamInferPackedColumns, RejectsForgedTailBits)
     EXPECT_EQ(err.code(), StatusCode::ParseError);
 }
 
+TEST(StreamInferPackedKernels, PopcntOverrideSelectsAvailableTable)
+{
+    // APOLLO_POPCNT is re-read per call; a name that is not a tier
+    // (the old "off" included) falls back to the dispatched table.
+    const char *prev_env = std::getenv("APOLLO_POPCNT");
+    const std::optional<std::string> prev =
+        prev_env ? std::optional<std::string>(prev_env) : std::nullopt;
+    setenv("APOLLO_POPCNT", "scalar", 1);
+    EXPECT_EQ(&popkernels::selectedKernels(),
+              &popkernels::implKernels(popkernels::Impl::Scalar));
+    setenv("APOLLO_POPCNT", "off", 1);
+    EXPECT_EQ(&popkernels::selectedKernels(), &popkernels::kernels());
+    unsetenv("APOLLO_POPCNT");
+    EXPECT_EQ(&popkernels::selectedKernels(), &popkernels::kernels());
+    if (prev)
+        setenv("APOLLO_POPCNT", prev->c_str(), 1);
+}
+
 TEST(StreamInferPackedKernels, ImplsAgreeWithPortablePopcount)
 {
     Xoshiro256StarStar rng(0xabc);
@@ -337,7 +358,8 @@ TEST(StreamInferPackedKernels, ImplsAgreeWithPortablePopcount)
             std::vector<uint64_t> bits(
                 words.begin(), words.begin() + (nbits + 63) / 64);
             maskTailWords(bits.data(), bits.size(), nbits);
-            for (const uint32_t T : {1u, 4u, 32u, 64u, 128u}) {
+            for (const uint32_t T :
+                 {1u, 2u, 3u, 4u, 8u, 32u, 64u, 128u}) {
                 for (const uint32_t phase0 : {0u, 1u, T - 1}) {
                     if (phase0 >= T)
                         continue;

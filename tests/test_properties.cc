@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "apollo.hh"
 #include "core/apollo_trainer.hh"
 #include "gen/ga_generator.hh"
 #include "ml/metrics.hh"
@@ -131,8 +132,7 @@ TEST_P(QuantizationProperty, BitTrueOpmMatchesDequantizedModel)
     const uint32_t bits = GetParam();
     const auto &fx = quantFixture();
     const QuantizedModel qm = quantizeModel(fx.model, bits);
-    OpmSimulator opm(qm, 1);
-    const auto hw = opm.simulate(fx.proxies);
+    const auto hw = Inference(qm, 1).predict(fx.proxies);
     const auto sw = qm.toFloatModel().predictProxies(fx.proxies);
     ASSERT_EQ(hw.size(), sw.size());
     for (size_t i = 0; i < hw.size(); i += 7)
@@ -155,10 +155,8 @@ TEST_P(OpmWindowProperty, WindowMeanWithinOneLsbOfCycleMean)
     const auto &fx = quantFixture();
     const QuantizedModel qm = quantizeModel(fx.model, 10);
 
-    OpmSimulator per_cycle(qm, 1);
-    const auto cycles = per_cycle.simulate(fx.proxies);
-    OpmSimulator windowed(qm, window);
-    const auto windows = windowed.simulate(fx.proxies);
+    const auto cycles = Inference(qm, 1).predict(fx.proxies);
+    const auto windows = Inference(qm, window).predict(fx.proxies);
 
     ASSERT_EQ(windows.size(), cycles.size() / window);
     for (size_t w = 0; w < windows.size(); ++w) {
@@ -181,7 +179,11 @@ TEST_P(OpmWindowProperty, AccumulatorWidthCoversWorstCase)
     for (size_t i = 0; i < all_ones.rows(); ++i)
         for (size_t q = 0; q < qm.proxyCount(); ++q)
             all_ones.setBit(i, q);
-    EXPECT_NO_THROW(opm.simulate(all_ones));
+    EXPECT_NO_THROW(Inference(qm, window).predict(all_ones));
+    // Per cycle too: step() checks the cycle-sum width every cycle.
+    const std::vector<uint64_t> row((qm.proxyCount() + 63) / 64, ~0ULL);
+    for (size_t i = 0; i < all_ones.rows(); ++i)
+        EXPECT_NO_THROW(opm.step(row.data()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Windows, OpmWindowProperty,
@@ -326,8 +328,7 @@ TEST(OpmSigned, NegativeWeightsRoundTripThroughTheSimulator)
         for (size_t q = 0; q < 4; ++q)
             if (rng.nextDouble() < 0.5)
                 bits.setBit(i, q);
-    OpmSimulator opm(qm, 1);
-    const auto hw = opm.simulate(bits);
+    const auto hw = Inference(qm, 1).predict(bits);
     const auto sw = qm.toFloatModel().predictProxies(bits);
     for (size_t i = 0; i < hw.size(); ++i)
         EXPECT_NEAR(hw[i], sw[i], 1e-4);

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "apollo.hh"
+#include "ref/reference_kernels.hh"
 
 namespace apollo {
 namespace {
@@ -264,31 +265,31 @@ TEST(ServeDeterminism, ConcurrentSessionsMatchSequentialRuns)
 
 TEST(ServeDeterminism, BitParallelSessionsMatchScalarBaseline)
 {
-    // Quantized sessions pick up the bit-parallel 64-cycle kernel
-    // transparently (T >= StreamPipeline::kBitParallelMinT). Eight
-    // concurrent sessions at every worker count must stay byte-
-    // identical to the per-cycle batch OpmSimulator — a baseline that
-    // shares no code with the popcount kernels. Proxy count (150) and
-    // chunk rows (193) are deliberately not multiples of 64, so every
-    // chunk boundary carries a partial packed word and a mid-window
-    // phase.
+    // Quantized sessions run the bit-parallel 64-cycle kernel at
+    // every T, including the set-bit walk of T=2. Nine concurrent
+    // sessions at every worker count must stay byte-identical to the
+    // sequential per-cycle ref::opmSimulate — a baseline that shares
+    // no code with the popcount kernels. Proxy count (150) and chunk
+    // rows (193) are deliberately not multiples of 64, so every chunk
+    // boundary carries a partial packed word and a mid-window phase.
     const size_t q = 150;
     const ApolloModel fmodel = randomModel(q, 0x61);
     const QuantizedModel qmodel = quantizeModel(fmodel, 10);
 
     auto reg = std::make_shared<ModelRegistry>();
-    ASSERT_TRUE(reg->addQuantized("opm16", qmodel, 16).ok());
-    ASSERT_TRUE(reg->addQuantized("opm32", qmodel, 32).ok());
+    const uint32_t windows[] = {16, 32, 2};
+    for (const uint32_t T : windows)
+        ASSERT_TRUE(
+            reg->addQuantized("opm" + std::to_string(T), qmodel, T).ok());
 
     std::vector<SessionPlan> plans;
-    for (size_t i = 0; i < 8; ++i) {
+    for (size_t i = 0; i < 9; ++i) {
         SessionPlan plan;
         const size_t rows = 650 + 53 * i;
         plan.trace = randomMatrix(rows, q, 0x2000 + i);
-        const uint32_t T = i % 2 ? 32 : 16;
-        plan.model = i % 2 ? "opm32" : "opm16";
-        OpmSimulator sim(qmodel, T);
-        plan.expected = sim.simulate(plan.trace);
+        const uint32_t T = windows[i % 3];
+        plan.model = "opm" + std::to_string(T);
+        plan.expected = ref::opmSimulate(qmodel, plan.trace, T);
         plans.push_back(std::move(plan));
     }
 

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "apollo.hh"
+#include "ref/reference_kernels.hh"
 
 namespace apollo {
 namespace {
@@ -130,8 +131,7 @@ TEST(StreamInfer, QuantizedBitIdenticalToOpmSimulator)
     const QuantizedModel qm = quantizeModel(randomModel(q, 0xF6), 10);
 
     for (const uint32_t T : {1u, 4u, 32u}) {
-        OpmSimulator sim(qm, T);
-        const std::vector<float> batch = sim.simulate(Xq);
+        const std::vector<float> batch = ref::opmSimulate(qm, Xq, T);
         const StreamingInference engine(qm, T);
         for (const size_t chunk : {size_t{1}, size_t{77}, size_t{1000}}) {
             const std::vector<float> streamed = streamToVector(
@@ -481,8 +481,50 @@ TEST(PublicApi, InferenceFacadeMatchesSubstrate)
     const QuantizedModel qm = quantizeModel(model, 10);
     const Inference opm(qm, 4);
     EXPECT_TRUE(opm.quantized());
-    OpmSimulator sim(qm, 4);
-    EXPECT_EQ(opm.predict(Xq), sim.simulate(Xq));
+    EXPECT_EQ(opm.predict(Xq), ref::opmSimulate(qm, Xq, 4));
+}
+
+TEST(PublicApi, QuantizedPredictMatchesReferenceAtWordAndWindowEdges)
+{
+    const size_t q = 70; // two words per packed row
+    const QuantizedModel qm = quantizeModel(randomModel(q, 0x3A), 10);
+    for (const uint32_t T : {1u, 2u, 4u, 32u}) {
+        const Inference opm(qm, T);
+        for (const size_t rows :
+             {size_t{0}, size_t{T - 1}, size_t{63}, size_t{64},
+              size_t{65}}) {
+            const BitColumnMatrix Xq = randomMatrix(rows, q, 0x4B + rows);
+            EXPECT_EQ(opm.predict(Xq), ref::opmSimulate(qm, Xq, T))
+                << "T=" << T << " rows=" << rows;
+        }
+    }
+}
+
+TEST(PublicApi, QuantizedPredictRejectsArityMismatch)
+{
+    const QuantizedModel qm = quantizeModel(randomModel(12, 0x5C), 10);
+    const Inference opm(qm, 4);
+    EXPECT_THROW(opm.predict(randomMatrix(64, 11, 0x6D)), FatalError);
+    EXPECT_THROW(opm.predict(randomMatrix(64, 13, 0x6D)), FatalError);
+}
+
+TEST(PublicApi, QuantizedPredictRunsInsideParallelFor)
+{
+    // The batch call must not touch the (non-re-entrant) shared pool:
+    // from inside a parallelFor body it has to return, not deadlock.
+    const size_t q = 40;
+    const QuantizedModel qm = quantizeModel(randomModel(q, 0x7E), 10);
+    const Inference opm(qm, 8);
+    const BitColumnMatrix Xq = randomMatrix(3000, q, 0x8F);
+    const std::vector<float> want = ref::opmSimulate(qm, Xq, 8);
+    const size_t tasks = 8;
+    std::vector<std::vector<float>> got(tasks);
+    parallelFor(tasks, [&](size_t t0, size_t t1) {
+        for (size_t t = t0; t < t1; ++t)
+            got[t] = opm.predict(Xq);
+    });
+    for (size_t t = 0; t < tasks; ++t)
+        EXPECT_EQ(got[t], want) << "task " << t;
 }
 
 TEST(PublicApi, TrainOptionsValidateEagerly)

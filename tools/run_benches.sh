@@ -68,8 +68,9 @@ echo "BENCH_control.json updated"
 echo "perf.droop_lab guard passed"
 
 # Bit-parallel kernel ablation guard: re-run through ctest so the perf
-# label stays green on the same tree the benches used (scalar / AVX2 /
-# VPOPCNTQ / legacy all bit-identical to the batch simulator).
+# label stays green on the same tree the benches used (batch predict,
+# scalar / AVX2 / VPOPCNTQ all bit-identical to the per-cycle
+# reference).
 (cd "$BUILD_DIR" && ctest -R 'perf\.stream_bitparallel' --output-on-failure)
 echo "perf.stream_bitparallel guard passed"
 

@@ -298,7 +298,9 @@ class Inference
 
     /**
      * Eq. (9) batch inference: T-cycle window averages over the whole
-     * trace (one segment, trailing partial window dropped).
+     * trace (one segment, trailing partial window dropped). Like
+     * predict(), data errors (a column count other than proxyCount(),
+     * no full window) are fatal.
      */
     std::vector<float>
     predictWindows(const BitColumnMatrix &Xq, uint32_t T) const
@@ -306,12 +308,12 @@ class Inference
         APOLLO_REQUIRE(!quantized(),
                        "predictWindows is a float-engine call; the "
                        "quantized engine windows via predict()");
-        const MultiCycleModel mc{model_, 1};
+        std::vector<float> sums(Xq.rows());
+        model_.sumColumns(Xq, ColumnLayout::Proxies, 0.0f, sums).orFatal();
         const SegmentInfo whole{"", 0, Xq.rows()};
-        // Data errors (no full window) stay fatal at this facade, as
-        // before the StatusOr conversion of predictWindowsProxies.
-        return mc.predictWindowsProxies(
-                     Xq, T, std::span<const SegmentInfo>(&whole, 1))
+        return windowAverages(sums, T,
+                              std::span<const SegmentInfo>(&whole, 1),
+                              model_.intercept)
             .value();
     }
 

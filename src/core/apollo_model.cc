@@ -23,14 +23,9 @@ ApolloModel::sumAbsWeights() const
 std::vector<float>
 ApolloModel::predictFull(const BitColumnMatrix &X) const
 {
-    APOLLO_REQUIRE(proxyIds.size() == weights.size(),
-                   "model arity mismatch");
-    std::vector<float> out(X.rows(), static_cast<float>(intercept));
-    for (size_t q = 0; q < proxyIds.size(); ++q) {
-        APOLLO_REQUIRE(proxyIds[q] < X.cols(), "proxy id out of range");
-        if (weights[q] != 0.0f)
-            X.axpyColumn(proxyIds[q], weights[q], out.data());
-    }
+    std::vector<float> out(X.rows());
+    sumColumns(X, ColumnLayout::Full, static_cast<float>(intercept), out)
+        .orFatal();
     return out;
 }
 
@@ -38,22 +33,35 @@ std::vector<float>
 ApolloModel::predictProxies(const BitColumnMatrix &Xq) const
 {
     std::vector<float> out(Xq.rows());
-    predictProxiesInto(Xq, out);
+    sumColumns(Xq, ColumnLayout::Proxies, static_cast<float>(intercept),
+               out)
+        .orFatal();
     return out;
 }
 
-void
-ApolloModel::predictProxiesInto(const BitColumnMatrix &Xq,
-                                std::span<float> out) const
+Status
+ApolloModel::sumColumns(const BitColumnMatrix &X, ColumnLayout layout,
+                        float start, std::span<float> out) const
 {
-    APOLLO_REQUIRE(Xq.cols() == proxyIds.size(),
-                   "proxy matrix arity mismatch");
-    APOLLO_REQUIRE(out.size() >= Xq.rows(), "output buffer too small");
-    std::fill(out.begin(), out.begin() + Xq.rows(),
-              static_cast<float>(intercept));
+    APOLLO_REQUIRE(proxyIds.size() == weights.size(),
+                   "model arity mismatch");
+    APOLLO_REQUIRE(out.size() >= X.rows(), "output buffer too small");
+    const bool full = layout == ColumnLayout::Full;
+    if (!full && X.cols() != proxyIds.size())
+        return Status::invalidArgument("proxy matrix has ", X.cols(),
+                                       " columns, model has ",
+                                       proxyIds.size(), " proxies");
+    if (full)
+        for (uint32_t id : proxyIds)
+            if (id >= X.cols())
+                return Status::outOfRange("proxy id ", id,
+                                          " is outside the ", X.cols(),
+                                          "-column matrix");
+    std::fill(out.begin(), out.begin() + X.rows(), start);
     for (size_t q = 0; q < proxyIds.size(); ++q)
         if (weights[q] != 0.0f)
-            Xq.axpyColumn(q, weights[q], out.data());
+            X.axpyColumn(full ? proxyIds[q] : q, weights[q], out.data());
+    return Status::okStatus();
 }
 
 void

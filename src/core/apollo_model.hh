@@ -17,8 +17,16 @@
 #include <vector>
 
 #include "util/bitvec.hh"
+#include "util/status.hh"
 
 namespace apollo {
+
+/** Where ApolloModel::sumColumns finds proxy q's bits. */
+enum class ColumnLayout
+{
+    Proxies, ///< column q of a proxy-only matrix
+    Full,    ///< column proxyIds[q] of a full M-signal matrix
+};
 
 /** The fitted per-cycle (or per-tau-interval) linear power model. */
 struct ApolloModel
@@ -49,16 +57,22 @@ struct ApolloModel
     std::vector<float> predictProxies(const BitColumnMatrix &Xq) const;
 
     /**
-     * Proxy-layout prediction into a caller-owned buffer (out.size()
-     * >= Xq.rows(); entries past Xq.rows() are untouched). This is the
-     * single inference kernel both predictProxies() and the streaming
-     * engine's chunk workers call, so chunked results are bit-identical
-     * to the batch path by construction: per output element the float
-     * additions are intercept, then w_q for each set proxy bit in
-     * ascending q — independent of how rows are chunked.
+     * The float column kernel every float inference path runs (batch,
+     * Eq. (9) windows, stream and serve): out[i] = start + sum over q
+     * of w_q x_q[i] for rows [0, X.rows()), the float additions in
+     * ascending q with zero weights skipped. @p start is the intercept
+     * for per-cycle power, 0 for the intercept-free sums a
+     * WindowAverager averages. Per output element the additions do not
+     * depend on how rows are chunked, so a chunked stream equals the
+     * batch call bit for bit.
+     *
+     * Data errors return a Status: InvalidArgument when a Proxies
+     * matrix has other than proxyCount() columns, OutOfRange naming the
+     * id when a Full matrix lacks column proxyIds[q]. Entries of @p out
+     * past X.rows() are untouched; a shorter @p out is fatal.
      */
-    void predictProxiesInto(const BitColumnMatrix &Xq,
-                            std::span<float> out) const;
+    Status sumColumns(const BitColumnMatrix &X, ColumnLayout layout,
+                      float start, std::span<float> out) const;
 
     /** Serialize / parse a small text format. */
     void save(std::ostream &os) const;

@@ -53,34 +53,32 @@ collectCounters(std::span<const ActivityFrame> frames,
                 const std::vector<SegmentInfo> &segments,
                 uint32_t epoch_cycles)
 {
-    APOLLO_REQUIRE(epoch_cycles >= 1, "epoch must be positive");
     APOLLO_REQUIRE(frames.size() == power.size(),
                    "frames/labels mismatch");
 
     CounterTrace trace;
     trace.epochCycles = epoch_cycles;
+    // Fatal on a zero epoch, segments that overrun the frames, or no
+    // full epoch; the counter loop below then stays in bounds.
+    trace.epochPower =
+        windowAverages(power, epoch_cycles, segments).value();
     float inc[numCounterEvents];
 
     for (const SegmentInfo &seg : segments) {
         const size_t epochs = seg.cycles() / epoch_cycles;
         for (size_t e = 0; e < epochs; ++e) {
             float acc[numCounterEvents] = {};
-            double label = 0.0;
             for (uint32_t t = 0; t < epoch_cycles; ++t) {
-                const size_t i = seg.begin + e * epoch_cycles + t;
-                eventIncrements(frames[i], inc);
+                eventIncrements(frames[seg.begin + e * epoch_cycles + t],
+                                inc);
                 for (size_t k = 0; k < numCounterEvents; ++k)
                     acc[k] += inc[k];
-                label += power[i];
             }
             for (size_t k = 0; k < numCounterEvents; ++k)
                 trace.counts.push_back(acc[k] / epoch_cycles);
-            trace.epochPower.push_back(
-                static_cast<float>(label / epoch_cycles));
             trace.epochs++;
         }
     }
-    APOLLO_REQUIRE(trace.epochs > 0, "no full epochs at this size");
     return trace;
 }
 

@@ -1,78 +1,17 @@
 #include "core/multi_cycle.hh"
 
-#include "util/logging.hh"
-
 namespace apollo {
-
-namespace {
-
-/** Segment sanity shared by inference and labels: monotone bounds that
- *  stay inside the @p rows cycles actually available. */
-Status
-checkSegments(std::span<const SegmentInfo> segments, size_t rows)
-{
-    for (const SegmentInfo &seg : segments) {
-        if (seg.end < seg.begin)
-            return Status::invalidArgument("segment '", seg.name,
-                                           "' has end ", seg.end,
-                                           " before begin ", seg.begin);
-        if (seg.end > rows)
-            return Status::outOfRange("segment '", seg.name, "' [",
-                                      seg.begin, ", ", seg.end,
-                                      ") exceeds the ", rows,
-                                      " cycles available");
-    }
-    return Status::okStatus();
-}
-
-/**
- * Shared Eq. (9) kernel: per-cycle linear sums, averaged per T-window.
- * @p column_of maps model proxy index q to the matrix column to read.
- */
-StatusOr<std::vector<float>>
-predictWindowsImpl(const ApolloModel &model, const BitColumnMatrix &X,
-                   uint32_t T, std::span<const SegmentInfo> segments,
-                   bool proxy_layout)
-{
-    if (T < 1)
-        return Status::invalidArgument("window size must be positive");
-    if (Status st = checkSegments(segments, X.rows()); !st.ok())
-        return st;
-    // Per-cycle weighted sums (binary AND-accumulate).
-    std::vector<float> per_cycle(X.rows(), 0.0f);
-    for (size_t q = 0; q < model.proxyIds.size(); ++q) {
-        const size_t col = proxy_layout ? q : model.proxyIds[q];
-        APOLLO_REQUIRE(col < X.cols(), "column out of range");
-        if (model.weights[q] != 0.0f)
-            X.axpyColumn(col, model.weights[q], per_cycle.data());
-    }
-
-    std::vector<float> out;
-    for (const SegmentInfo &seg : segments) {
-        const size_t windows = seg.cycles() / T;
-        for (size_t w = 0; w < windows; ++w) {
-            double acc = 0.0;
-            for (uint32_t t = 0; t < T; ++t)
-                acc += per_cycle[seg.begin + w * T + t];
-            out.push_back(static_cast<float>(
-                model.intercept + acc / static_cast<double>(T)));
-        }
-    }
-    if (out.empty())
-        return Status::invalidArgument(
-            "no full windows at T=", T,
-            " (every segment is shorter than the window)");
-    return out;
-}
-
-} // namespace
 
 StatusOr<std::vector<float>>
 MultiCycleModel::predictWindowsFull(
     const BitColumnMatrix &X, uint32_t T,
     std::span<const SegmentInfo> segments) const
 {
-    return predictWindowsImpl(base, X, T, segments, false);
+    std::vector<float> sums(X.rows());
+    if (Status st = base.sumColumns(X, ColumnLayout::Full, 0.0f, sums);
+        !st.ok())
+        return st;
+    return windowAverages(sums, T, segments, base.intercept);
 }
 
 StatusOr<std::vector<float>>
@@ -80,7 +19,11 @@ MultiCycleModel::predictWindowsProxies(
     const BitColumnMatrix &Xq, uint32_t T,
     std::span<const SegmentInfo> segments) const
 {
-    return predictWindowsImpl(base, Xq, T, segments, true);
+    std::vector<float> sums(Xq.rows());
+    if (Status st = base.sumColumns(Xq, ColumnLayout::Proxies, 0.0f, sums);
+        !st.ok())
+        return st;
+    return windowAverages(sums, T, segments, base.intercept);
 }
 
 MultiCycleModel
@@ -104,26 +47,7 @@ StatusOr<std::vector<float>>
 windowAverageLabels(std::span<const float> y, uint32_t T,
                     std::span<const SegmentInfo> segments)
 {
-    if (T < 1)
-        return Status::invalidArgument("window size must be positive");
-    if (Status st = checkSegments(segments, y.size()); !st.ok())
-        return st;
-    std::vector<float> out;
-    for (const SegmentInfo &seg : segments) {
-        const size_t windows = seg.cycles() / T;
-        for (size_t w = 0; w < windows; ++w) {
-            double acc = 0.0;
-            for (uint32_t t = 0; t < T; ++t)
-                acc += y[seg.begin + w * T + t];
-            out.push_back(
-                static_cast<float>(acc / static_cast<double>(T)));
-        }
-    }
-    if (out.empty())
-        return Status::invalidArgument(
-            "no full windows at T=", T,
-            " (every segment is shorter than the window)");
-    return out;
+    return windowAverages(y, T, segments);
 }
 
 } // namespace apollo

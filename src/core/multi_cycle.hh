@@ -37,15 +37,19 @@ struct MultiCycleModel
      * T-cycle windows of a *full* per-cycle feature matrix; windows
      * never straddle the @p segments boundaries.
      *
-     * Data errors return a Status instead of aborting: InvalidArgument
-     * when T is zero or no segment holds a full T-cycle window,
-     * OutOfRange when a segment exceeds the matrix rows.
+     * Runs ApolloModel::sumColumns with start 0, then windowAverages
+     * with the intercept as offset. Data errors return a Status
+     * instead of aborting: those of windowAverages (bad T or segments,
+     * no full window), and OutOfRange when a proxy id is not a column
+     * of @p X.
      */
     StatusOr<std::vector<float>> predictWindowsFull(
         const BitColumnMatrix &X, uint32_t T,
         std::span<const SegmentInfo> segments) const;
 
-    /** Same over a proxy-only matrix (columns follow base.proxyIds). */
+    /** Same over a proxy-only matrix (columns follow base.proxyIds);
+     *  InvalidArgument when it has other than base.proxyCount()
+     *  columns. */
     StatusOr<std::vector<float>> predictWindowsProxies(
         const BitColumnMatrix &Xq, uint32_t T,
         std::span<const SegmentInfo> segments) const;
@@ -58,9 +62,8 @@ MultiCycleModel trainMultiCycle(const Dataset &train, uint32_t tau,
 
 /**
  * Ground-truth labels for Fig. 11: window-average power over
- * consecutive T-cycle windows (per segment, full windows only).
- * Same error contract as predictWindowsFull; segments are
- * bounds-checked against y.size().
+ * consecutive T-cycle windows (per segment, full windows only), i.e.
+ * windowAverages(y, T, segments) with the same error contract.
  */
 StatusOr<std::vector<float>> windowAverageLabels(
     std::span<const float> y, uint32_t T,

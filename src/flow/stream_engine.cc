@@ -66,6 +66,8 @@ StreamPipeline::StreamPipeline(const ApolloModel &model, uint32_t window_T)
     APOLLO_REQUIRE(!model.proxyIds.empty(), "empty model");
     APOLLO_REQUIRE(model.weights.size() == model.proxyIds.size(),
                    "model weight/proxy arity mismatch");
+    if (window_T > 0)
+        window_.emplace(window_T, model.intercept);
 }
 
 StreamPipeline::StreamPipeline(const QuantizedModel &model, uint32_t T)
@@ -87,7 +89,6 @@ void
 StreamPipeline::computeSums(const BitColumnMatrix &bits, size_t rows,
                             ChunkSums &out) const
 {
-    const size_t q = proxyCount();
     out.rows = rows;
     if (qmodel_) {
         // Bit-parallel: one weighted popcount pass per column, 64
@@ -96,27 +97,33 @@ StreamPipeline::computeSums(const BitColumnMatrix &bits, size_t rows,
         // sums.
         opmSegmentSums(*qmodel_, windowT_, out.windowPhase0, bits, rows,
                        *popk_, out.segSums);
-    } else if (windowT_ > 0) {
-        // Weighted sums *without* intercept, like predictWindowsImpl's
-        // per_cycle vector.
-        out.fsums.assign(rows, 0.0f);
-        for (size_t c = 0; c < q; ++c)
-            if (model_->weights[c] != 0.0f)
-                bits.axpyColumn(c, model_->weights[c],
-                                out.fsums.data());
     } else {
+        // Windowed sums start at 0: the averager in emit() adds the
+        // intercept once per window, as the batch Eq. (9) path does.
         out.fsums.resize(rows);
-        model_->predictProxiesInto(bits, out.fsums);
+        model_->sumColumns(bits, ColumnLayout::Proxies,
+                           windowT_ ? 0.0f
+                                    : static_cast<float>(model_->intercept),
+                           out.fsums)
+            .orFatal();
     }
 }
 
 Status
 StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
 {
-    Status sunk = Status::okStatus();
     cycles_ += sums.rows;
-    if (qmodel_) {
-        staging_.clear();
+    if (!qmodel_ && !window_) {
+        outputs_ += sums.rows;
+        return sink.consume(
+            sums.firstCycle,
+            std::span<const float>(sums.fsums.data(), sums.rows));
+    }
+    staging_.clear();
+    if (window_) {
+        window_->push(std::span<const float>(sums.fsums.data(), sums.rows),
+                      staging_);
+    } else {
         // Replay the precomputed segment sums: the chunk's leading
         // segment continues the window the previous chunk left open
         // (the accumulator carried it), so the phases must agree.
@@ -134,36 +141,17 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
             a = b;
             b = std::min<size_t>(sums.rows, a + windowT_);
         }
-        if (!staging_.empty())
-            sunk = sink.consume(outputs_, staging_);
-        outputs_ += staging_.size();
-    } else if (windowT_ > 0) {
-        staging_.clear();
-        for (size_t i = 0; i < sums.rows; ++i) {
-            windowAcc_ += sums.fsums[i];
-            if (++windowPhase_ == windowT_) {
-                staging_.push_back(static_cast<float>(
-                    model_->intercept +
-                    windowAcc_ / static_cast<double>(windowT_)));
-                windowAcc_ = 0.0;
-                windowPhase_ = 0;
-            }
-        }
-        if (!staging_.empty())
-            sunk = sink.consume(outputs_, staging_);
-        outputs_ += staging_.size();
-    } else {
-        sunk = sink.consume(
-            sums.firstCycle,
-            std::span<const float>(sums.fsums.data(), sums.rows));
-        outputs_ += sums.rows;
     }
+    Status sunk = Status::okStatus();
+    if (!staging_.empty())
+        sunk = sink.consume(outputs_, staging_);
+    outputs_ += staging_.size();
     if (sunk.code() == StatusCode::Cancelled) {
         // A cancelled stream must leave no partial-window residue: a
         // session slot reusing this pipeline would otherwise fold the
         // dead stream's accumulator into its first window.
-        windowAcc_ = 0.0;
-        windowPhase_ = 0;
+        if (window_)
+            window_->reset();
         if (sim_)
             sim_->reset();
     }
@@ -173,10 +161,10 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
 void
 StreamPipeline::reset()
 {
-    windowAcc_ = 0.0;
-    windowPhase_ = 0;
     cycles_ = 0;
     outputs_ = 0;
+    if (window_)
+        window_->reset();
     if (sim_)
         sim_->reset();
 }

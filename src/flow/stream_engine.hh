@@ -11,14 +11,13 @@
  * window/accumulator state in cycle order. Results are bit-identical to
  * the batch paths:
  *
- *  - per-cycle float: each chunk worker calls the same
- *    ApolloModel::predictProxiesInto kernel the batch predictProxies()
- *    uses, and per output element the float additions (intercept, then
- *    w_q per set bit in ascending q) do not depend on row chunking;
- *  - windowed float (Eq. 9): per-cycle sums accumulate like
- *    MultiCycleModel::predictWindowsProxies — float axpy per column,
- *    then a double window accumulator that carries across chunk
- *    boundaries, emitting float(intercept + acc/T) every T cycles;
+ *  - float: each chunk worker calls the ApolloModel::sumColumns
+ *    kernel every batch float path calls, and per output element the
+ *    float additions (start, then w_q per set bit in ascending q) do
+ *    not depend on row chunking. Per-cycle mode starts at the
+ *    intercept; Eq. (9) windows start at 0 and go through the same
+ *    WindowAverager (trace/dataset.hh) as the batch windows, its
+ *    partial window carried across chunk boundaries;
  *  - quantized: integer sums are exact in any evaluation order, so
  *    per-window-segment weighted popcounts (opm/opm_bitparallel.hh)
  *    replayed in order through OpmSimulator::stepSegment equal the
@@ -46,6 +45,7 @@
 #include "core/apollo_model.hh"
 #include "opm/opm_simulator.hh"
 #include "opm/quantize.hh"
+#include "trace/dataset.hh"
 #include "trace/stream_reader.hh"
 #include "util/popcnt_kernels.hh"
 #include "util/status.hh"
@@ -313,8 +313,8 @@ class StreamPipeline
     /** Popcount kernel table of a quantized pipeline. */
     const popkernels::Kernels *popk_ = nullptr;
     std::optional<OpmSimulator> sim_;
-    double windowAcc_ = 0.0;
-    uint32_t windowPhase_ = 0;
+    /** Eq. (9) window state of a windowed float pipeline. */
+    std::optional<WindowAverager> window_;
     uint64_t cycles_ = 0;
     uint64_t outputs_ = 0;
     std::vector<float> staging_;

@@ -50,8 +50,8 @@ std::vector<float> predictFull(const ApolloModel &model,
  * each full T-cycle window (never straddling segment boundaries), sum
  * the per-cycle weighted sums in a double accumulator, divide by T,
  * add the intercept. Oracle for
- * MultiCycleModel::predictWindowsProxies and the streaming windowed
- * engine; bit-exact because the per-cycle float sums share the
+ * MultiCycleModel::predictWindowsProxies / predictWindowsFull and the
+ * streaming windowed engine; bit-exact because the per-cycle float sums share the
  * ascending-q order and the window accumulation shares the
  * ascending-cycle double order.
  */
@@ -72,8 +72,8 @@ QuantizedModel quantizeModel(const ApolloModel &model, uint32_t bits);
  * every toggled proxy's qweight (ascending q; integer addition is
  * exact in any order), accumulated over T cycles, then an arithmetic
  * shift by log2(T) and dequantization. One output per complete
- * window. Bit-exact oracle for OpmSimulator::simulate and the
- * quantized streaming engine. @p T must be a power of two.
+ * window. Bit-exact oracle for the one quantized engine (the batch
+ * Inference::predict and the stream). @p T must be a power of two.
  */
 std::vector<float> opmSimulate(const QuantizedModel &model,
                                const BitColumnMatrix &Xq, uint32_t T);

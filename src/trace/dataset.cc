@@ -18,6 +18,50 @@ Dataset::meanLabel() const
            static_cast<double>(y.size());
 }
 
+void
+WindowAverager::push(std::span<const float> values,
+                     std::vector<float> &out)
+{
+    for (float v : values) {
+        acc_ += v;
+        if (++phase_ == T_) {
+            out.push_back(static_cast<float>(
+                offset_ + acc_ / static_cast<double>(T_)));
+            reset();
+        }
+    }
+}
+
+StatusOr<std::vector<float>>
+windowAverages(std::span<const float> values, uint32_t T,
+               std::span<const SegmentInfo> segments, double offset)
+{
+    if (T < 1)
+        return Status::invalidArgument("window size must be positive");
+    for (const SegmentInfo &seg : segments) {
+        if (seg.end < seg.begin)
+            return Status::invalidArgument("segment '", seg.name,
+                                           "' has end ", seg.end,
+                                           " before begin ", seg.begin);
+        if (seg.end > values.size())
+            return Status::outOfRange("segment '", seg.name, "' [",
+                                      seg.begin, ", ", seg.end,
+                                      ") exceeds the ", values.size(),
+                                      " cycles available");
+    }
+    // Each segment contributes whole windows only, so the averager is
+    // back at phase 0 at every segment boundary.
+    std::vector<float> out;
+    WindowAverager window(T, offset);
+    for (const SegmentInfo &seg : segments)
+        window.push(values.subspan(seg.begin, seg.cycles() / T * T), out);
+    if (out.empty())
+        return Status::invalidArgument(
+            "no full windows at T=", T,
+            " (every segment is shorter than the window)");
+    return out;
+}
+
 Dataset
 Dataset::selectRows(const std::vector<uint32_t> &rows) const
 {
@@ -105,21 +149,10 @@ aggregateIntervals(const Dataset &dataset, uint32_t tau)
         out.segments.push_back(out_seg);
         n_intervals += k;
     }
-    APOLLO_REQUIRE(n_intervals > 0, "no full intervals at this tau");
-
+    // Labels: interval-average power. Fatal on segments that overrun
+    // the labels or hold no full interval.
+    out.y = windowAverages(dataset.y, tau, dataset.segments).value();
     out.X = CountColumnMatrix(n_intervals, dataset.signals());
-    out.y.assign(n_intervals, 0.f);
-
-    // Labels: interval-average power.
-    for (const IntervalSpan &span : spans) {
-        for (size_t k = 0; k < span.count; ++k) {
-            double acc = 0.0;
-            for (uint32_t t = 0; t < tau; ++t)
-                acc += dataset.y[span.cycleBegin + k * tau + t];
-            out.y[span.firstInterval + k] =
-                static_cast<float>(acc / tau);
-        }
-    }
 
     // Features: toggle counts per interval, column-parallel.
     parallelFor(dataset.signals(), [&](size_t c0, size_t c1) {

@@ -153,29 +153,44 @@ runBatchProxies(uint64_t seed)
                s.Xq.rows(), s.Xq.cols(), c0.Xq.rows(), c0.Xq.cols());
 }
 
-std::optional<std::string>
-runBatchFull(uint64_t seed)
+/** A case's proxy columns scattered through a full-design matrix. */
+struct ScatteredCase
 {
-    InferCase c = makeInferCase(seed);
-    // Scatter the proxy columns through a wider full-design matrix
-    // with active decoy columns between them.
+    ApolloModel model; ///< proxyIds point at the scattered columns
+    BitColumnMatrix X;
+};
+
+/**
+ * Scatter the proxy columns through a wider full-design matrix with
+ * active decoy columns between them; full-layout inference on it must
+ * equal proxy-layout inference on the case.
+ */
+ScatteredCase
+scatterProxies(const InferCase &c, uint64_t seed)
+{
     const size_t q = c.Xq.cols();
     const size_t full_cols = 2 * q + 3;
-    BitColumnMatrix X(c.Xq.rows(), full_cols);
-    ApolloModel scattered = c.model;
+    ScatteredCase sc{c.model, BitColumnMatrix(c.Xq.rows(), full_cols)};
     for (size_t j = 0; j < q; ++j) {
         const size_t col = 2 * j + 1;
-        scattered.proxyIds[j] = static_cast<uint32_t>(col);
+        sc.model.proxyIds[j] = static_cast<uint32_t>(col);
         for (size_t r = 0; r < c.Xq.rows(); ++r)
             if (c.Xq.get(r, j))
-                X.setBit(r, col);
+                sc.X.setBit(r, col);
     }
     Xoshiro256StarStar rng(hashMix(seed ^ 0xdecaf));
     for (size_t j = 0; j < full_cols; j += 2)
-        for (size_t r = 0; r < X.rows(); ++r)
+        for (size_t r = 0; r < sc.X.rows(); ++r)
             if (rng.nextDouble() < 0.3)
-                X.setBit(r, j);
+                sc.X.setBit(r, j);
+    return sc;
+}
 
+std::optional<std::string>
+runBatchFull(uint64_t seed)
+{
+    const InferCase c = makeInferCase(seed);
+    const auto [scattered, X] = scatterProxies(c, seed);
     const std::vector<float> prod = scattered.predictFull(X);
     const std::vector<float> want = ref::predictFull(scattered, X);
     if (auto d = compareExact(prod, want, c.shape))
@@ -189,32 +204,42 @@ std::optional<std::string>
 runWindowsEq9(uint64_t seed)
 {
     const InferCase c = makeInferCase(seed);
-    const MultiCycleModel mc{c.model,
-                             1 + static_cast<uint32_t>(seed % 7)};
-    if (fullWindows(c) == 0) {
-        // Production contract: no full window anywhere is an
-        // InvalidArgument Status, not a silent empty result.
-        StatusOr<std::vector<float>> empty =
-            mc.predictWindowsProxies(c.Xq, c.T, c.segments);
-        if (empty.ok())
-            return fmt("shape=%s: expected InvalidArgument for zero "
-                       "windows",
-                       c.shape.c_str());
-        if (empty.status().code() != StatusCode::InvalidArgument)
-            return fmt("shape=%s: zero windows returned '%s'",
-                       c.shape.c_str(),
-                       empty.status().toString().c_str());
-        return std::nullopt;
-    }
-    StatusOr<std::vector<float>> got =
-        mc.predictWindowsProxies(c.Xq, c.T, c.segments);
-    if (!got.ok())
-        return fmt("shape=%s: predictWindowsProxies failed: %s",
-                   c.shape.c_str(), got.status().toString().c_str());
-    const std::vector<float> prod = *got;
+    const uint32_t tau = 1 + static_cast<uint32_t>(seed % 7);
+    const MultiCycleModel mc{c.model, tau};
+    // The full layout: proxies scattered through decoy columns must
+    // window exactly like the proxy layout.
+    const ScatteredCase sc = scatterProxies(c, seed);
+    const MultiCycleModel mc_full{sc.model, tau};
+    const std::pair<const char *, StatusOr<std::vector<float>>> runs[] = {
+        {"proxies", mc.predictWindowsProxies(c.Xq, c.T, c.segments)},
+        {"full", mc_full.predictWindowsFull(sc.X, c.T, c.segments)},
+    };
+    const bool no_windows = fullWindows(c) == 0;
     const std::vector<float> want =
         ref::predictWindowsProxies(c.model, c.Xq, c.T, c.segments);
-    return compareExact(prod, want, c.shape + fmt("+T=%u", c.T));
+    for (const auto &[layout, got] : runs) {
+        if (no_windows) {
+            // Production contract: no full window anywhere is an
+            // InvalidArgument Status, not a silent empty result.
+            if (got.ok())
+                return fmt("shape=%s: %s: expected InvalidArgument for "
+                           "zero windows",
+                           c.shape.c_str(), layout);
+            if (got.status().code() != StatusCode::InvalidArgument)
+                return fmt("shape=%s: %s: zero windows returned '%s'",
+                           c.shape.c_str(), layout,
+                           got.status().toString().c_str());
+            continue;
+        }
+        if (!got.ok())
+            return fmt("shape=%s: %s: predictWindows failed: %s",
+                       c.shape.c_str(), layout,
+                       got.status().toString().c_str());
+        if (auto d = compareExact(*got, want,
+                                  c.shape + fmt("+T=%u+", c.T) + layout))
+            return d;
+    }
+    return std::nullopt;
 }
 
 std::optional<std::string>

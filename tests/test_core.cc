@@ -10,7 +10,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "apollo.hh"
 #include "core/apollo_trainer.hh"
+#include "core/counter_model.hh"
 #include "core/multi_cycle.hh"
 #include "gen/ga_generator.hh"
 #include "ml/metrics.hh"
@@ -246,8 +248,8 @@ TEST(MultiCycle, ShortTraceReturnsInvalidArgumentInsteadOfAborting)
 {
     // Regression: a trace where every segment is shorter than T used
     // to fall through to an empty-output APOLLO_REQUIRE abort deep in
-    // predictWindowsImpl; it is a data error and now surfaces as a
-    // Status the caller can handle.
+    // the batch window kernel; it is a data error and now surfaces as
+    // a Status the caller can handle.
     MultiCycleModel model;
     model.base.intercept = 0.5;
     model.base.proxyIds = {0, 1};
@@ -311,6 +313,85 @@ TEST(MultiCycle, MismatchedSegmentsReturnOutOfRange)
     const auto ok = model.predictWindowsFull(X, 2, good);
     ASSERT_TRUE(ok.ok()) << ok.status().toString();
     EXPECT_EQ(ok->size(), 3u);
+}
+
+TEST(MultiCycle, ProxyMatrixArityIsInvalidArgument)
+{
+    // Regression: a proxy-layout matrix with more columns than proxies
+    // used to be windowed over its first Q columns without complaint,
+    // although predict() and the stream reject the same input.
+    MultiCycleModel model;
+    model.base.intercept = 0.5;
+    model.base.proxyIds = {0, 1};
+    model.base.weights = {0.25f, 0.125f};
+    const std::vector<SegmentInfo> segs = {{"all", 0, 8}};
+
+    for (size_t cols : {1u, 3u}) {
+        BitColumnMatrix Xq;
+        Xq.reset(8, cols);
+        const auto pred = model.predictWindowsProxies(Xq, 4, segs);
+        ASSERT_FALSE(pred.ok()) << "cols=" << cols;
+        EXPECT_EQ(pred.status().code(), StatusCode::InvalidArgument);
+        // The facade stays fatal, like Inference::predict().
+        EXPECT_THROW(Inference(model.base).predictWindows(Xq, 4),
+                     FatalError);
+    }
+}
+
+TEST(MultiCycle, FullMatrixMissingProxyColumnIsOutOfRange)
+{
+    // Regression: a proxy id past the full matrix's columns aborted
+    // through APOLLO_REQUIRE instead of returning the documented
+    // data-error Status.
+    MultiCycleModel model;
+    model.base.proxyIds = {0, 7};
+    model.base.weights = {0.25f, 0.125f};
+    BitColumnMatrix X;
+    X.reset(8, 4);
+    const std::vector<SegmentInfo> segs = {{"all", 0, 8}};
+
+    const auto pred = model.predictWindowsFull(X, 4, segs);
+    ASSERT_FALSE(pred.ok());
+    EXPECT_EQ(pred.status().code(), StatusCode::OutOfRange);
+    EXPECT_NE(pred.status().message().find("proxy id 7"),
+              std::string::npos)
+        << pred.status().message();
+}
+
+TEST(MultiCycle, LabelPathsAgreeExactly)
+{
+    // The Fig. 11 labels, the APOLLO_tau interval labels and the
+    // counter-epoch labels are one T-window average: equal bit for bit
+    // to a hand-rolled double average, on segments that include ones
+    // shorter than T (contributing nothing) and partial tails.
+    const uint32_t T = 8;
+    const std::vector<SegmentInfo> segs = {{"a", 0, 37},
+                                           {"short", 37, 42},
+                                           {"b", 42, 100},
+                                           {"one", 100, 101},
+                                           {"c", 101, 133}};
+    Dataset ds;
+    ds.segments = segs;
+    ds.X.reset(133, 3);
+    Xoshiro256StarStar rng(0x1abe1);
+    for (size_t i = 0; i < 133; ++i)
+        ds.y.push_back(static_cast<float>(0.1 + 3.0 * rng.nextDouble()));
+
+    std::vector<float> manual;
+    for (const SegmentInfo &seg : segs) {
+        for (size_t w = 0; w < seg.cycles() / T; ++w) {
+            double acc = 0.0;
+            for (uint32_t t = 0; t < T; ++t)
+                acc += ds.y[seg.begin + w * T + t];
+            manual.push_back(static_cast<float>(acc / T));
+        }
+    }
+    ASSERT_EQ(manual.size(), 4u + 7u + 4u);
+
+    EXPECT_EQ(windowAverageLabels(ds.y, T, segs).value(), manual);
+    EXPECT_EQ(aggregateIntervals(ds, T).y, manual);
+    const std::vector<ActivityFrame> frames(ds.y.size());
+    EXPECT_EQ(collectCounters(frames, ds.y, segs, T).epochPower, manual);
 }
 
 TEST(MultiCycle, TauEightBeatsExtremesAtLargeT)

@@ -54,11 +54,13 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
         'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
 else
-    # Streaming + serving suites plus the differential-oracle layer
-    # (label "oracle": every production path vs its reference under
-    # ASan+UBSan) and the corpus-replay fuzz drivers (label "fuzz").
+    # Streaming + serving suites, the callers of the float column
+    # kernel and the window averager (datasets, counter model, models,
+    # baselines), plus the differential-oracle layer (label "oracle":
+    # every production path vs its reference under ASan+UBSan) and the
+    # corpus-replay fuzz drivers (label "fuzz").
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+        'SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter|Dataset|CounterModel|ApolloModel|LassoBaseline|SimmaniBaseline'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
 fi
 echo "sanitizer run clean (${SANITIZER})"

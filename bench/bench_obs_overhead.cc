@@ -87,7 +87,7 @@ constexpr int kPasses = 32;
 
 /** kPasses passes over the instrumented hot paths. */
 double
-workload(const BitColumnMatrix &X, const StreamingInference &qengine,
+workload(const BitColumnMatrix &X, const Inference &qengine,
          const Inference &batch_engine)
 {
     double outputs = 0.0;
@@ -96,7 +96,7 @@ workload(const BitColumnMatrix &X, const StreamingInference &qengine,
         VectorSink sink;
         StreamConfig config;
         config.chunkCycles = 4096; // several chunks per run
-        StatusOr<StreamStats> stats = qengine.run(reader, sink, config);
+        StatusOr<StreamStats> stats = qengine.stream(reader, sink, config);
         stats.status().orFatal();
         const std::vector<float> batch = batch_engine.predict(X);
         outputs += static_cast<double>(stats->outputs) +
@@ -107,7 +107,7 @@ workload(const BitColumnMatrix &X, const StreamingInference &qengine,
 
 /** Wall time of one workload sample in the current obs mode. */
 double
-timeOnce(const BitColumnMatrix &X, const StreamingInference &qengine,
+timeOnce(const BitColumnMatrix &X, const Inference &qengine,
          const Inference &batch_engine)
 {
     const double t0 = nowSeconds();
@@ -145,7 +145,7 @@ main(int argc, char **argv)
     const BitColumnMatrix X = makeMatrix(n, q, 0x0b5eed);
     const ApolloModel model = makeModel(q);
     const QuantizedModel qm = quantizeModel(model, 10);
-    const StreamingInference qengine(qm, T);
+    const Inference qengine(qm, T);
     const Inference batch_engine(qm, T);
 
     obs::MetricRegistry &reg = obs::MetricRegistry::instance();

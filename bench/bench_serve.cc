@@ -7,7 +7,7 @@
  *
  *  1. Bit identity: every session's streamed samples — at every pool
  *     size and session count — equal running that session's chunk
- *     sequence through StreamingInference alone.
+ *     sequence through Inference::stream alone.
  *  2. Record -> replay: a session recorded by the serve loop replays
  *     to byte-identical power events.
  *  3. Scaling: aggregate Mcycles/s of 8 sessions on a full-width pool
@@ -303,14 +303,13 @@ main(int argc, char **argv)
     //      one-stream engine alone. These are both the bit-identity
     //      oracle and the 1x1 baseline's expected output.
     const size_t max_sessions = 8;
-    const StreamingInference qengine(
-        *registry->find("hash_q10")->qmodel, T);
+    const Inference qengine(*registry->find("hash_q10")->qmodel, T);
     std::vector<std::vector<float>> refs(max_sessions);
     for (size_t s = 0; s < max_sessions; ++s) {
         HashChunkReader reader(n, q, sessionSeed(seed, s));
         VectorSink sink;
-        qengine.run(reader, sink,
-                    StreamConfig{}.withChunkCycles(chunk_rows))
+        qengine.stream(reader, sink,
+                       StreamConfig{}.withChunkCycles(chunk_rows))
             .status()
             .orFatal();
         refs[s] = sink.takeValues();

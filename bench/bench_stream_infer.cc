@@ -219,8 +219,8 @@ main(int argc, char **argv)
     const auto obs_before = bench::obsCounters();
     const ApolloModel model = makeModel(q, seed);
     const QuantizedModel qm = quantizeModel(model, 10);
-    const StreamingInference fengine(model);
-    const StreamingInference qengine(qm, T);
+    const Inference fengine(model);
+    const Inference qengine(qm, T);
     const StreamConfig config; // defaults: 16k chunk, auto in-flight
 
     // ---- 1. Memory scaling (must run before any batch allocation so
@@ -230,7 +230,7 @@ main(int argc, char **argv)
     {
         HashChunkReader reader(n, q, seed);
         RingBufferSink sink(256);
-        StatusOr<StreamStats> stats = qengine.run(reader, sink, config);
+        StatusOr<StreamStats> stats = qengine.stream(reader, sink, config);
         stats.status().orFatal();
         mem1 = *stats;
         rss1 = maxRssMb();
@@ -238,7 +238,7 @@ main(int argc, char **argv)
     {
         HashChunkReader reader(10 * n, q, seed);
         RingBufferSink sink(256);
-        StatusOr<StreamStats> stats = qengine.run(reader, sink, config);
+        StatusOr<StreamStats> stats = qengine.stream(reader, sink, config);
         stats.status().orFatal();
         mem10 = *stats;
         rss10 = maxRssMb();
@@ -271,7 +271,7 @@ main(int argc, char **argv)
         MatrixChunkReader reader(X);
         VectorSink sink;
         const double t0 = nowSeconds();
-        StatusOr<StreamStats> stats = qengine.run(reader, sink, config);
+        StatusOr<StreamStats> stats = qengine.stream(reader, sink, config);
         const double secs = nowSeconds() - t0;
         stats.status().orFatal();
         if (secs < qstream.seconds) {
@@ -296,7 +296,7 @@ main(int argc, char **argv)
         MatrixChunkReader reader(X);
         VectorSink sink;
         const double t0 = nowSeconds();
-        StatusOr<StreamStats> stats = fengine.run(reader, sink, config);
+        StatusOr<StreamStats> stats = fengine.stream(reader, sink, config);
         const double secs = nowSeconds() - t0;
         stats.status().orFatal();
         if (secs < fstream.seconds) {
@@ -353,7 +353,7 @@ main(int argc, char **argv)
                 VectorSink sink;
                 const double t0 = nowSeconds();
                 StatusOr<StreamStats> stats =
-                    qengine.run(reader, sink, config);
+                    qengine.stream(reader, sink, config);
                 const double secs = nowSeconds() - t0;
                 stats.status().orFatal();
                 row.seconds = std::min(row.seconds, secs);

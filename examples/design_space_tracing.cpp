@@ -115,11 +115,11 @@ main()
     // Streaming emulator-assisted tracing of a long workload: the sink
     // reduces the power stream online, so peak memory is bounded by
     // the chunk size rather than the workload length.
-    Flows flows(netlist);
+    DesignTimeFlows flows(netlist);
     const Program workload = makeLongWorkload("workload", 120000, 4);
     ProfileSink profile;
     const FlowReport trace =
-        flows.emulatorStreaming(workload, 100000, model, profile);
+        flows.runEmulatorFlowStreaming(workload, 100000, model, profile);
     std::printf("traced %llu cycles in %.2fs (%.0f kcycles/s); proxy "
                 "trace %.2f MB vs %.1f MB for all signals\n",
                 static_cast<unsigned long long>(trace.cycles),
@@ -181,9 +181,9 @@ main()
           std::pair{ThrottleMode::Scheme3, "scheme 3"}}) {
         CoreParams params;
         params.throttle = mode;
-        Flows tflows(netlist, params);
+        DesignTimeFlows tflows(netlist, params);
         ProfileSink tp;
-        tflows.emulatorStreaming(workload, 100000, model, tp);
+        tflows.runEmulatorFlowStreaming(workload, 100000, model, tp);
         std::printf("  %-10s avg %.3f (%5.1f%%)  peak %.3f (%5.1f%%)\n",
                     name, tp.meanPower(),
                     100.0 * tp.meanPower() / base_mean, tp.peakPower(),

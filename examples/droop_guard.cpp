@@ -37,11 +37,10 @@ main()
 
     // A bursty workload: compute bursts after idle stretches are what
     // produce the worst Ldi/dt transients.
-    Flows flows(netlist);
+    DesignTimeFlows flows(netlist);
     const Program workload = makeLongWorkload("bursty", 16000, 0xd00);
-    const FlowReport truth = flows.commercial(workload, 12000);
-    const FlowReport est =
-        flows.emulatorAssisted(workload, 12000, model);
+    const FlowReport truth = flows.runCommercialFlow(workload, 12000);
+    const FlowReport est = flows.runEmulatorFlow(workload, 12000, model);
 
     // The OPM watches its own estimate.
     const DidtAnalysis didt = analyzeDidt(truth.power, est.power, 0.75);

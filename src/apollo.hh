@@ -2,20 +2,22 @@
  * @file
  * The APOLLO public umbrella header: include this one header and use
  * the entry-point layer — apollo::Trainer, apollo::Inference,
- * apollo::Flows — plus whatever substrate types the task needs.
+ * apollo::DesignTimeFlows — plus whatever substrate types the task
+ * needs.
  *
  * Layering:
  *  - Trainer    Fig. 5(a) model construction: MCP proxy selection +
  *               ridge relaxation, per-cycle or tau-aggregated
  *               (configured with the validated TrainOptions builder).
- *  - Inference  unified batch + streaming inference over a trained
- *               model (float design-time estimator or quantized OPM).
- *               Streaming pumps any ProxyChunkReader into any
- *               PowerSink with bounded memory and results
- *               bit-identical to the batch calls.
- *  - Flows      the Fig. 7 design-time flow comparisons, including the
- *               streaming emulator-assisted flow that never
- *               materializes the proxy trace.
+ *  - Inference  batch + streaming inference over a trained model
+ *               (float design-time estimator or quantized OPM), in
+ *               flow/stream_engine.hh. Streaming pumps any
+ *               ProxyChunkReader into any PowerSink with bounded
+ *               memory and results bit-identical to the batch calls.
+ *  - DesignTimeFlows  the Fig. 7 design-time flow comparisons
+ *               (flow/flows.hh), including the streaming
+ *               emulator-assisted flow that never materializes the
+ *               proxy trace.
  *  - serve::*   the serving layer: ModelRegistry + SessionManager
  *               multiplex N concurrent power-introspection sessions
  *               over shared immutable models, bit-identical to the
@@ -90,7 +92,8 @@
 #include "opm/opm_simulator.hh"
 #include "opm/quantize.hh"
 
-// Flows, streaming engine, droop analysis, closed-loop control.
+// Design-time flows, inference engine, droop analysis, closed-loop
+// control.
 #include "flow/flows.hh"
 #include "flow/stream_engine.hh"
 #include "droop/droop.hh"
@@ -123,8 +126,6 @@ const char *apolloVersion();
  *   nonneg             false   constrain weights to R+ (Eq. 1)
  *   relaxRidge         1e-3    weak L2 for the relaxation refit
  *   selectionCycleCap  0       selection-stage cycle subsample (0=off)
- *   screen             true    strong-rule screening in the CD solver
- *   parallel           true    parallel gradient/norm passes
  *
  * Setters validate eagerly (throwing FatalError on out-of-domain
  * values, the configuration-error regime) and chain:
@@ -182,20 +183,6 @@ class TrainOptions
         return *this;
     }
 
-    TrainOptions &
-    screen(bool on)
-    {
-        config_.selection.screen = on;
-        return *this;
-    }
-
-    TrainOptions &
-    parallel(bool on)
-    {
-        config_.selection.parallel = on;
-        return *this;
-    }
-
     const ApolloTrainConfig &config() const { return config_; }
 
   private:
@@ -238,154 +225,6 @@ class Trainer
 
   private:
     ApolloTrainConfig config_;
-};
-
-/**
- * Unified batch + streaming inference over a trained model.
- *
- * Float engine (design-time estimator):
- *   Inference inf(result.model);
- *   auto p = inf.predict(proxies);              // per-cycle, batch
- *   inf.stream(reader, sink);                   // per-cycle, streaming
- *   inf.stream(reader, sink,
- *              StreamConfig().withWindowT(32)); // Eq. (9) windows
- *
- * Quantized engine (bit-true OPM):
- *   Inference opm(quantizeModel(result.model, 10), 32);
- *   auto hw = opm.predict(proxies);             // == ref::opmSimulate
- *   opm.stream(reader, sink);                   // same, bounded memory
- *
- * Streaming and batch calls produce bit-identical samples (see
- * flow/stream_engine.hh for the argument). Quantized batch and stream
- * run the same bit-parallel StreamPipeline; predict() is one
- * single-threaded whole-matrix chunk, so it may be called from inside
- * a parallelFor body.
- */
-class Inference
-{
-  public:
-    /** Float-weight engine over proxy-layout traces. */
-    explicit Inference(ApolloModel model)
-        : model_(std::move(model)), engine_(model_)
-    {}
-
-    /** Quantized fixed-point engine (one sample per T-cycle window). */
-    Inference(QuantizedModel model, uint32_t window_T)
-        : model_(model.toFloatModel()), qmodel_(std::move(model)),
-          windowT_(window_T), engine_(*qmodel_, window_T)
-    {}
-
-    bool quantized() const { return qmodel_.has_value(); }
-    size_t proxyCount() const { return model_.proxyIds.size(); }
-    const ApolloModel &model() const { return model_; }
-
-    /**
-     * Batch inference over a proxy-layout matrix: per-cycle power for
-     * the float engine, one bit-true sample per complete T-cycle
-     * window for the quantized engine (trailing partial window
-     * dropped). A column count other than proxyCount() is fatal.
-     */
-    std::vector<float> predict(const BitColumnMatrix &Xq) const;
-
-    /** Per-cycle batch inference over a full M-column matrix. */
-    std::vector<float>
-    predictFull(const BitColumnMatrix &X) const
-    {
-        APOLLO_REQUIRE(!quantized(),
-                       "predictFull is a float-engine call");
-        return model_.predictFull(X);
-    }
-
-    /**
-     * Eq. (9) batch inference: T-cycle window averages over the whole
-     * trace (one segment, trailing partial window dropped). Like
-     * predict(), data errors (a column count other than proxyCount(),
-     * no full window) are fatal.
-     */
-    std::vector<float>
-    predictWindows(const BitColumnMatrix &Xq, uint32_t T) const
-    {
-        APOLLO_REQUIRE(!quantized(),
-                       "predictWindows is a float-engine call; the "
-                       "quantized engine windows via predict()");
-        std::vector<float> sums(Xq.rows());
-        model_.sumColumns(Xq, ColumnLayout::Proxies, 0.0f, sums).orFatal();
-        const SegmentInfo whole{"", 0, Xq.rows()};
-        return windowAverages(sums, T,
-                              std::span<const SegmentInfo>(&whole, 1),
-                              model_.intercept)
-            .value();
-    }
-
-    /**
-     * Streaming inference: pump @p reader to exhaustion into @p sink
-     * with bounded memory. The quantized engine always windows at its
-     * construction T; the float engine windows iff config.windowT > 0.
-     */
-    StatusOr<StreamStats>
-    stream(ProxyChunkReader &reader, PowerSink &sink,
-           const StreamConfig &config = {}) const
-    {
-        return engine_.run(reader, sink, config);
-    }
-
-  private:
-    ApolloModel model_;
-    std::optional<QuantizedModel> qmodel_;
-    uint32_t windowT_ = 0;
-    StreamingInference engine_;
-};
-
-/**
- * Entry point for the Fig. 7 design-time flows, including the
- * streaming emulator-assisted flow (proxy bits generated chunk by
- * chunk, power delivered to a sink — nothing trace-length-sized is
- * ever resident).
- */
-class Flows
-{
-  public:
-    explicit Flows(const Netlist &netlist,
-                   const CoreParams &core_params = CoreParams::defaults(),
-                   const PowerParams &power_params = PowerParams{})
-        : flows_(netlist, core_params, power_params)
-    {}
-
-    /** Fig. 7(a): all-signal trace + ground-truth power. */
-    FlowReport
-    commercial(const Program &prog, uint64_t max_cycles)
-    {
-        return flows_.runCommercialFlow(prog, max_cycles);
-    }
-
-    /** Fig. 7(b): all-signal trace + APOLLO model inference. */
-    FlowReport
-    apolloAssisted(const Program &prog, uint64_t max_cycles,
-                   const ApolloModel &model)
-    {
-        return flows_.runApolloFlow(prog, max_cycles, model);
-    }
-
-    /** Fig. 7(c): proxy-only trace + model inference (streaming). */
-    FlowReport
-    emulatorAssisted(const Program &prog, uint64_t max_cycles,
-                     const ApolloModel &model)
-    {
-        return flows_.runEmulatorFlow(prog, max_cycles, model);
-    }
-
-    /** Fig. 7(c) with caller-owned sink: power never materializes. */
-    FlowReport
-    emulatorStreaming(const Program &prog, uint64_t max_cycles,
-                      const ApolloModel &model, PowerSink &sink,
-                      const StreamConfig &config = {})
-    {
-        return flows_.runEmulatorFlowStreaming(prog, max_cycles, model,
-                                               sink, config);
-    }
-
-  private:
-    DesignTimeFlows flows_;
 };
 
 } // namespace apollo

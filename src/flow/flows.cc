@@ -154,9 +154,9 @@ DesignTimeFlows::runEmulatorFlowStreaming(const Program &prog,
     FrameProxyChunkReader reader(builder.engine(), builder.frames(),
                                  model.proxyIds,
                                  builder.segmentBeginTable());
-    const StreamingInference engine(model);
+    const Inference engine(model);
     APOLLO_TRACE_SPAN("flow.stream");
-    StatusOr<StreamStats> stats = engine.run(reader, sink, config);
+    StatusOr<StreamStats> stats = engine.stream(reader, sink, config);
     // Flow configuration/sink failures are caller errors at this layer.
     if (!stats.ok())
         fatal(stats.status().toString());

@@ -233,42 +233,97 @@ CsvPowerSink::finish(uint64_t)
     return Status::okStatus();
 }
 
-StreamingInference::StreamingInference(ApolloModel model)
-    : model_(std::move(model))
+Inference::Inference(ApolloModel model) : model_(std::move(model))
 {
     APOLLO_REQUIRE(!model_.proxyIds.empty(), "empty model");
     APOLLO_REQUIRE(model_.weights.size() == model_.proxyIds.size(),
                    "model weight/proxy arity mismatch");
 }
 
-StreamingInference::StreamingInference(QuantizedModel model, uint32_t T)
-    : qmodel_(std::move(model)), qwindowT_(T)
+Inference::Inference(QuantizedModel model, uint32_t window_T)
+    : qmodel_(std::move(model)), windowT_(window_T)
 {
     // Construct a simulator once to run the width/argument checks
     // eagerly (invalid T or an empty model is a configuration error).
-    OpmSimulator checker(*qmodel_, T);
+    OpmSimulator checker(*qmodel_, window_T);
     (void)checker;
 }
 
 size_t
-StreamingInference::proxyCount() const
+Inference::proxyCount() const
 {
     return qmodel_ ? qmodel_->proxyCount() : model_.proxyCount();
 }
 
+std::vector<float>
+Inference::predict(const BitColumnMatrix &Xq) const
+{
+    if (!qmodel_)
+        return model_.predictProxies(Xq);
+    APOLLO_REQUIRE(Xq.cols() == qmodel_->proxyCount(),
+                   "proxy matrix arity mismatch");
+
+    // The whole matrix is one phase-0 chunk through the stream
+    // pipeline. No thread pool: parallelFor is not re-entrant, and
+    // callers may already be inside one.
+    StreamPipeline pipe(*qmodel_, windowT_);
+    ChunkSums sums;
+    pipe.computeSums(Xq, Xq.rows(), sums);
+    VectorSink sink;
+    pipe.emit(sums, sink).orFatal();
+    std::vector<float> out = sink.takeValues();
+
+    const size_t n = Xq.rows();
+    APOLLO_COUNT("apollo.opm.simulations", 1);
+    APOLLO_COUNT("apollo.opm.cycles", n);
+    APOLLO_COUNT("apollo.opm.windows", out.size());
+    if (APOLLO_OBS_ON() && n > 0) {
+        const popkernels::Kernels &k = popkernels::kernels();
+        uint64_t ones = 0;
+        for (size_t q = 0; q < Xq.cols(); ++q)
+            ones += k.countWords(Xq.colWords(q), Xq.wordsPerCol());
+        APOLLO_OBSERVE("apollo.opm.toggle_density",
+                       static_cast<double>(ones) /
+                           (static_cast<double>(n) *
+                            static_cast<double>(Xq.cols())),
+                       ::apollo::obs::ratioBounds());
+    }
+    return out;
+}
+
+std::vector<float>
+Inference::predictFull(const BitColumnMatrix &X) const
+{
+    APOLLO_REQUIRE(!quantized(), "predictFull is a float-engine call");
+    return model_.predictFull(X);
+}
+
+std::vector<float>
+Inference::predictWindows(const BitColumnMatrix &Xq, uint32_t T) const
+{
+    APOLLO_REQUIRE(!quantized(),
+                   "predictWindows is a float-engine call; the "
+                   "quantized engine windows via predict()");
+    std::vector<float> sums(Xq.rows());
+    model_.sumColumns(Xq, ColumnLayout::Proxies, 0.0f, sums).orFatal();
+    const SegmentInfo whole{"", 0, Xq.rows()};
+    return windowAverages(sums, T, std::span<const SegmentInfo>(&whole, 1),
+                          model_.intercept)
+        .value();
+}
+
 StatusOr<StreamStats>
-StreamingInference::run(ProxyChunkReader &reader, PowerSink &sink,
-                        const StreamConfig &config) const
+Inference::stream(ProxyChunkReader &reader, PowerSink &sink,
+                  const StreamConfig &config) const
 {
     if (Status s = config.validate(); !s.ok())
         return s;
 
-    const bool quantized = qmodel_.has_value();
-    if (quantized && config.windowT != 0 && config.windowT != qwindowT_)
+    if (qmodel_ && config.windowT != 0 && config.windowT != windowT_)
         return Status::invalidArgument(
             "quantized engine runs at its construction window T=",
-            qwindowT_, ", config requested ", config.windowT);
-    const uint32_t T = quantized ? qwindowT_ : config.windowT;
+            windowT_, ", config requested ", config.windowT);
+    const uint32_t T = qmodel_ ? windowT_ : config.windowT;
 
     // Arity is validated per chunk below: file/VCD readers only learn
     // their proxy count after the first read.
@@ -289,8 +344,8 @@ StreamingInference::run(ProxyChunkReader &reader, PowerSink &sink,
     // All sequential state carried across chunks (the float Eq. 9
     // window accumulator, the OPM accumulator) lives in the pipeline;
     // this run owns a fresh one, so runs never see each other's state.
-    StreamPipeline pipe = quantized ? StreamPipeline(*qmodel_, T)
-                                    : StreamPipeline(model_, T);
+    StreamPipeline pipe = qmodel_ ? StreamPipeline(*qmodel_, T)
+                                  : StreamPipeline(model_, T);
 
     // Sink time is the backpressure signal: a slow consumer shows up
     // here, not in the compute stages.

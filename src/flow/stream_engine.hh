@@ -228,7 +228,7 @@ struct ChunkSums
  * The per-stream trace-to-power pipeline, split into its two stages so
  * that one shared thread pool can multiplex many concurrent streams
  * (src/serve/session_manager.hh) over the exact same arithmetic the
- * one-stream StreamingInference engine runs:
+ * one-stream Inference engine runs:
  *
  *  - computeSums() is a pure function of one chunk (no pipeline state
  *    touched), safe to evaluate for many chunks / many pipelines in
@@ -335,39 +335,78 @@ struct StreamStats
 };
 
 /**
- * The streaming inference engine. Construct once per model; run() is
- * const and carries no state between calls, so one engine can serve
- * many traces.
+ * The inference engine: batch and streaming inference over a trained
+ * model, on the StreamPipeline above.
+ *
+ * Float engine (design-time estimator):
+ *   Inference inf(result.model);
+ *   auto p = inf.predict(proxies);              // per-cycle, batch
+ *   inf.stream(reader, sink);                   // per-cycle, streaming
+ *   inf.stream(reader, sink,
+ *              StreamConfig().withWindowT(32)); // Eq. (9) windows
+ *
+ * Quantized engine (bit-true OPM):
+ *   Inference opm(quantizeModel(result.model, 10), 32);
+ *   auto hw = opm.predict(proxies);             // == ref::opmSimulate
+ *   opm.stream(reader, sink);                   // same, bounded memory
+ *
+ * Streaming and batch calls produce bit-identical samples (see the
+ * file comment). Every call builds a fresh pipeline and carries no
+ * state to the next, so one engine serves many traces. Quantized
+ * predict() is one single-threaded whole-matrix chunk through the
+ * pipeline, so it may be called from inside a parallelFor body.
  */
-class StreamingInference
+class Inference
 {
   public:
-    /**
-     * Float-weight engine over a proxy-layout trace. Output mode is
-     * per-cycle, or Eq. (9) windows when config.windowT > 0.
-     */
-    explicit StreamingInference(ApolloModel model);
+    /** Float-weight engine over proxy-layout traces. */
+    explicit Inference(ApolloModel model);
 
     /**
      * Quantized fixed-point engine: bit-true OPM evaluation (one
      * sample per T-cycle window, T a power of two), matching
      * ref::opmSimulate() exactly.
      */
-    StreamingInference(QuantizedModel model, uint32_t T);
+    Inference(QuantizedModel model, uint32_t window_T);
 
+    bool quantized() const { return qmodel_.has_value(); }
     size_t proxyCount() const;
 
     /**
-     * Pump @p reader to exhaustion through @p sink. Returns run stats,
-     * or the first reader/sink/config error.
+     * Batch inference over a proxy-layout matrix: per-cycle power for
+     * the float engine, one bit-true sample per complete T-cycle
+     * window for the quantized engine (trailing partial window
+     * dropped). A column count other than proxyCount() is fatal.
      */
-    StatusOr<StreamStats> run(ProxyChunkReader &reader, PowerSink &sink,
-                              const StreamConfig &config = {}) const;
+    std::vector<float> predict(const BitColumnMatrix &Xq) const;
+
+    /** Per-cycle batch inference over a full M-column matrix. */
+    std::vector<float> predictFull(const BitColumnMatrix &X) const;
+
+    /**
+     * Eq. (9) batch inference: T-cycle window averages over the whole
+     * trace (one segment, trailing partial window dropped). Like
+     * predict(), data errors (a column count other than proxyCount(),
+     * no full window) are fatal.
+     */
+    std::vector<float> predictWindows(const BitColumnMatrix &Xq,
+                                      uint32_t T) const;
+
+    /**
+     * Streaming inference: pump @p reader to exhaustion into @p sink
+     * with bounded memory. The quantized engine always windows at its
+     * construction T; the float engine windows iff config.windowT > 0.
+     * Returns run stats, or the first reader/sink/config error.
+     */
+    StatusOr<StreamStats> stream(ProxyChunkReader &reader,
+                                 PowerSink &sink,
+                                 const StreamConfig &config = {}) const;
 
   private:
+    /** The float engine's model; empty for the quantized engine. */
     ApolloModel model_;
     std::optional<QuantizedModel> qmodel_;
-    uint32_t qwindowT_ = 0;
+    uint32_t windowT_ = 0;
 };
 
 } // namespace apollo

@@ -14,7 +14,7 @@
  *  - per-session state: the window/OPM accumulator state
  *    (StreamPipeline) is per session and carried across chunks, so a
  *    session's output is bit-identical to running its chunk sequence
- *    through StreamingInference alone — at ANY worker count
+ *    through Inference::stream alone — at ANY worker count
  *    (tests/test_serve.cc pins this);
  *  - strand execution: a session is processed by at most one worker
  *    at a time, in submission order, with a per-dispatch chunk budget

@@ -349,32 +349,25 @@ VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
     const uint64_t first = nextRow_;
     size_t produced = 0;
 
-    // Emit finalized cycles up to @p boundary (exclusive) or until the
-    // chunk is full.
-    const auto emit_until = [&](uint64_t boundary) {
-        while (nextRow_ < boundary && produced < max_rows) {
-            if (completedValid_ && nextRow_ == completedTs_) {
-                for (uint32_t col : completedFlips_)
-                    rows_set.emplace_back(
-                        static_cast<uint32_t>(produced), col);
-                completedFlips_.clear();
-                completedValid_ = false;
-            }
-            nextRow_++;
-            produced++;
-        }
-    };
-
     std::string token;
     while (produced < max_rows) {
-        if (atEof_) {
-            emit_until(curTs_);
-            break;
+        // Cycles before the current timestamp are final: emit them
+        // (their flips were placed when the timestamp advanced) before
+        // reading further, so a chunk boundary inside a timestamp gap
+        // cannot separate flips from their row.
+        if (nextRow_ < curTs_) {
+            const uint64_t take =
+                std::min<uint64_t>(curTs_ - nextRow_, max_rows - produced);
+            nextRow_ += take;
+            produced += take;
+            continue;
         }
+        if (atEof_)
+            break;
         if (!(is_ >> token)) {
             // End of stream: the trace length is the last timestamp
-            // seen; flips at that timestamp are dropped (parseVcd
-            // semantics — VcdWriter::finish() emits a final "#N").
+            // seen; flips at that timestamp are dropped
+            // (VcdWriter::finish() emits a final "#N").
             atEof_ = true;
             pendingFlips_.clear();
             continue;
@@ -391,22 +384,21 @@ VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
                 return Status::parseError("bad VCD timestamp ", token);
             }
             if (ts < curTs_)
-                return Status::parseError(
-                    "non-monotonic VCD timestamp ", ts, " after ",
-                    curTs_, " (streaming reader requires ordered "
-                            "timestamps)");
+                return Status::parseError("non-monotonic VCD timestamp ",
+                                          ts, " after ", curTs_);
             if (ts > kMaxVcdCycles)
                 return Status::parseError("implausible VCD timestamp ",
                                           ts, " (limit ",
                                           kMaxVcdCycles, ")");
             if (ts > curTs_) {
-                if (!pendingFlips_.empty()) {
-                    completedTs_ = curTs_;
-                    completedFlips_.swap(pendingFlips_);
-                    completedValid_ = true;
-                }
+                // Cycle curTs_ is complete; it is the next row emitted
+                // (nextRow_ == curTs_ here), which this chunk has room
+                // for.
+                for (uint32_t col : pendingFlips_)
+                    rows_set.emplace_back(static_cast<uint32_t>(produced),
+                                          col);
+                pendingFlips_.clear();
                 curTs_ = ts;
-                emit_until(curTs_);
             }
         } else if (token[0] == '0' || token[0] == '1') {
             const std::string id = token.substr(1);

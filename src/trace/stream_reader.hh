@@ -221,11 +221,14 @@ class ProxyTraceFileReader : public ProxyChunkReader
 
 /**
  * Incremental VCD ingestion (the VcdWriter subset of the grammar:
- * 1-bit wires, monotonic timestamps). A toggle is recorded at cycle c
- * when a signal's value flips at timestamp c outside $dumpvars;
- * matching parseVcd(), the trace length is the last timestamp seen, so
- * flips at the final timestamp are dropped. Memory is bounded by one
- * chunk regardless of trace length.
+ * 1-bit wires, unique ids, monotonic timestamps) and the one VCD
+ * grammar implementation: tryParseVcd() (trace/vcd.hh) drains this
+ * reader. A toggle is recorded at cycle c when a signal's value flips
+ * at timestamp c outside $dumpvars; the trace length is the last
+ * timestamp seen, so flips at the final timestamp are dropped. A
+ * duplicate id, a backwards timestamp or one past kMaxVcdCycles is a
+ * ParseError. Memory is bounded by one chunk regardless of trace
+ * length.
  */
 class VcdChunkReader : public ProxyChunkReader
 {
@@ -246,9 +249,6 @@ class VcdChunkReader : public ProxyChunkReader
     std::map<std::string, size_t> idToIndex_;
     std::vector<uint8_t> value_;
     std::vector<uint32_t> pendingFlips_; ///< flips at cycle curTs_
-    std::vector<uint32_t> completedFlips_; ///< flips of a finished cycle
-    uint64_t completedTs_ = 0;
-    bool completedValid_ = false;
     uint64_t curTs_ = 0;    ///< timestamp whose flips are being read
     uint64_t nextRow_ = 0;  ///< next cycle index to emit
     bool headerDone_ = false;

@@ -1,10 +1,11 @@
 #include "trace/vcd.hh"
 
+#include <algorithm>
+#include <bit>
 #include <istream>
-#include <map>
 #include <ostream>
-#include <sstream>
 
+#include "trace/stream_reader.hh"
 #include "util/logging.hh"
 
 namespace apollo {
@@ -87,83 +88,45 @@ VcdWriter::finish()
 StatusOr<VcdTrace>
 tryParseVcd(std::istream &is)
 {
-    std::vector<std::string> names;
-    std::map<std::string, size_t> id_to_index;
-    std::string token;
-
-    // Header.
-    while (is >> token) {
-        if (token == "$var") {
-            std::string type, width, id, name;
-            if (!(is >> type >> width >> id >> name))
-                return Status::ioError("truncated VCD $var");
-            id_to_index[id] = names.size();
-            names.push_back(name);
-            // consume "$end"
-            while (is >> token && token != "$end") {}
-        } else if (token == "$enddefinitions") {
-            while (is >> token && token != "$end") {}
+    // Drain the streaming reader in chunks of about 2^22 bits, keeping
+    // only the set bits, so nothing larger than one chunk is allocated
+    // before the in-memory cap below has seen the row count.
+    constexpr uint64_t kChunkBits = uint64_t{1} << 22;
+    constexpr uint64_t kMaxBits = uint64_t{1} << 32;
+    VcdChunkReader reader(is);
+    ProxyChunk chunk;
+    std::vector<std::pair<uint64_t, uint32_t>> flips; // (cycle, column)
+    uint64_t rows = 0;
+    size_t max_rows = 64; // until the header has given the width
+    for (;;) {
+        StatusOr<size_t> got = reader.next(max_rows, chunk);
+        if (!got.ok())
+            return got.status();
+        if (*got == 0)
             break;
+        const size_t cols = chunk.proxies();
+        max_rows = std::max<size_t>(64, kChunkBits / cols);
+        rows += *got;
+        // The streaming reader is the supported path for dumps beyond
+        // in-memory size.
+        if (rows * cols > kMaxBits)
+            return Status::parseError(
+                "VCD too large for in-memory parse (at least ", rows,
+                " cycles x ", cols, " signals); use VcdChunkReader");
+        for (size_t c = 0; c < cols; ++c) {
+            const uint64_t *words = chunk.bits.colWords(c);
+            for (size_t w = 0; w < chunk.bits.wordsPerCol(); ++w)
+                for (uint64_t bits = words[w]; bits; bits &= bits - 1)
+                    flips.emplace_back(chunk.firstCycle + 64 * w +
+                                           std::countr_zero(bits),
+                                       static_cast<uint32_t>(c));
         }
     }
-    if (names.empty())
-        return Status::parseError("VCD has no $var declarations");
-
-    // Value changes. First pass into a sparse (cycle, index) list.
-    std::vector<std::pair<uint64_t, size_t>> flips;
-    std::vector<uint8_t> value(names.size(), 0);
-    uint64_t cycle = 0;
-    uint64_t max_cycle = 0;
-    bool in_dumpvars = false;
-
-    while (is >> token) {
-        if (token == "$dumpvars") {
-            in_dumpvars = true;
-            continue;
-        }
-        if (token == "$end") {
-            in_dumpvars = false;
-            continue;
-        }
-        if (token[0] == '#') {
-            try {
-                cycle = std::stoull(token.substr(1));
-            } catch (...) {
-                return Status::parseError("bad VCD timestamp ", token);
-            }
-            if (cycle > kMaxVcdCycles)
-                return Status::parseError("implausible VCD timestamp ",
-                                          cycle, " (limit ",
-                                          kMaxVcdCycles, ")");
-            max_cycle = std::max(max_cycle, cycle);
-            continue;
-        }
-        if (token[0] == '0' || token[0] == '1') {
-            const std::string id = token.substr(1);
-            auto it = id_to_index.find(id);
-            if (it == id_to_index.end())
-                return Status::parseError("unknown VCD id ", id);
-            const uint8_t v = token[0] == '1' ? 1 : 0;
-            if (!in_dumpvars && v != value[it->second])
-                flips.emplace_back(cycle, it->second);
-            value[it->second] = v;
-        }
-    }
-
     VcdTrace trace;
-    trace.names = std::move(names);
-    // Bound the full-matrix allocation: the streaming reader is the
-    // supported path for dumps beyond in-memory size.
-    if (max_cycle * trace.names.size() > (uint64_t{1} << 32))
-        return Status::parseError(
-            "VCD too large for in-memory parse (", max_cycle,
-            " cycles x ", trace.names.size(),
-            " signals); use VcdChunkReader");
-    trace.toggles.reset(max_cycle, trace.names.size());
-    for (const auto &[flip_cycle, index] : flips) {
-        if (flip_cycle < max_cycle)
-            trace.toggles.setBit(flip_cycle, index);
-    }
+    trace.names = reader.names();
+    trace.toggles.reset(rows, trace.names.size());
+    for (const auto &[cycle, col] : flips)
+        trace.toggles.setBit(cycle, col);
     return trace;
 }
 

@@ -61,9 +61,8 @@ class VcdWriter
 };
 
 /**
- * Largest timestamp either VCD reader accepts. Timestamps come from
- * untrusted input and directly size the reconstructed trace (the batch
- * parser allocates max_cycle x signals toggle bits; the streaming
+ * Largest timestamp the VCD reader accepts. Timestamps come from
+ * untrusted input and directly size the reconstructed trace (the
  * reader synthesizes one row per cycle), so an implausible declared
  * length is a ParseError, not an allocation attempt.
  */
@@ -78,9 +77,12 @@ struct VcdTrace
 };
 
 /**
- * Parse a VCD produced by VcdWriter (subset of the VCD grammar),
- * reporting malformed input as a Status value. For bounded-memory
- * ingestion of long dumps use trace/stream_reader.hh's VcdChunkReader.
+ * Parse a whole VCD produced by VcdWriter into memory, reporting
+ * malformed input as a Status value. Drains trace/stream_reader.hh's
+ * VcdChunkReader, so the grammar and its errors are the reader's; a
+ * trace over 2^32 toggle bits (cycles x signals) is a ParseError,
+ * raised before the result matrix is allocated. For bounded-memory
+ * ingestion of long dumps use VcdChunkReader directly.
  */
 StatusOr<VcdTrace> tryParseVcd(std::istream &is);
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Fuzz target for both VCD ingestion paths — the batch tryParseVcd()
- * and the incremental VcdChunkReader — on arbitrary bytes: Status
- * errors only, no throw/crash/hang/unbounded allocation.
+ * Fuzz target for both VCD entry points — the incremental
+ * VcdChunkReader and the batch tryParseVcd(), which drains it and adds
+ * its own in-memory cap — on arbitrary bytes: Status errors only, no
+ * throw/crash/hang/unbounded allocation.
  */
 
 #include "fuzz/fuzz_driver.hh"

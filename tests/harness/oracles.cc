@@ -248,10 +248,10 @@ runStreamPerCycle(uint64_t seed)
     const InferCase c = makeInferCase(seed);
     MatrixChunkReader reader(c.Xq);
     VectorSink sink;
-    const StreamingInference engine(c.model);
+    const Inference engine(c.model);
     const StreamConfig config =
         StreamConfig().withChunkCycles(streamChunkCycles(seed));
-    auto stats = engine.run(reader, sink, config);
+    auto stats = engine.stream(reader, sink, config);
     if (!stats.ok())
         return fmt("shape=%s: run failed: %s", c.shape.c_str(),
                    stats.status().message().c_str());
@@ -265,11 +265,11 @@ runStreamWindows(uint64_t seed)
     const InferCase c = makeInferCase(seed);
     MatrixChunkReader reader(c.Xq);
     VectorSink sink;
-    const StreamingInference engine(c.model);
+    const Inference engine(c.model);
     const StreamConfig config = StreamConfig()
                                     .withChunkCycles(streamChunkCycles(seed))
                                     .withWindowT(c.T);
-    auto stats = engine.run(reader, sink, config);
+    auto stats = engine.stream(reader, sink, config);
     if (!stats.ok())
         return fmt("shape=%s: run failed: %s", c.shape.c_str(),
                    stats.status().message().c_str());
@@ -352,10 +352,10 @@ runStreamQuantized(uint64_t seed)
     const QuantizedModel qm = apollo::quantizeModel(c.model, c.bits);
     MatrixChunkReader reader(c.Xq);
     VectorSink sink;
-    const StreamingInference engine(qm, c.T);
+    const Inference engine(qm, c.T);
     const StreamConfig config =
         StreamConfig().withChunkCycles(streamChunkCycles(seed));
-    auto stats = engine.run(reader, sink, config);
+    auto stats = engine.stream(reader, sink, config);
     if (!stats.ok())
         return fmt("shape=%s: run failed: %s", c.shape.c_str(),
                    stats.status().message().c_str());
@@ -459,10 +459,10 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
         const ScopedPopcntEnv env(nullptr);
         MatrixChunkReader reader(c.Xq);
         VectorSink sink;
-        const StreamingInference engine(qm, c.T);
+        const Inference engine(qm, c.T);
         const StreamConfig config =
             StreamConfig().withChunkCycles(chunk);
-        auto stats = engine.run(reader, sink, config);
+        auto stats = engine.stream(reader, sink, config);
         const std::string shape =
             c.shape + fmt("+stream[auto]+B=%u+T=%u+chunk=%zu", c.bits,
                           c.T, chunk);
@@ -477,11 +477,11 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
     {
         MatrixChunkReader reader(c.Xq);
         VectorSink sink;
-        const StreamingInference engine(c.model);
+        const Inference engine(c.model);
         const StreamConfig config = StreamConfig()
                                         .withChunkCycles(chunk)
                                         .withWindowT(c.T);
-        auto stats = engine.run(reader, sink, config);
+        auto stats = engine.stream(reader, sink, config);
         if (!stats.ok())
             return fmt("shape=%s: float run failed: %s",
                        c.shape.c_str(),

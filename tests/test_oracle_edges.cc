@@ -146,8 +146,8 @@ TEST(OracleEdges, EmptyTraceStreamsZeroSamples)
     BitColumnMatrix empty(0, 3);
     MatrixChunkReader reader(empty);
     VectorSink sink;
-    const StreamingInference engine(m);
-    auto stats = engine.run(reader, sink);
+    const Inference engine(m);
+    auto stats = engine.stream(reader, sink);
     ASSERT_TRUE(stats.ok()) << stats.status().toString();
     EXPECT_EQ(stats->cycles, 0u);
     EXPECT_EQ(stats->outputs, 0u);

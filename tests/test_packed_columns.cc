@@ -185,14 +185,14 @@ TEST(StreamInferPackedColumns, CrossChunkCarryMatchesSingleChunk)
     const QuantizedModel qm = quantizeModel(randomModel(q, 0xd2), 10);
     const std::vector<float> batch = ref::opmSimulate(qm, Xq, T);
 
-    const StreamingInference engine(qm, T);
+    const Inference engine(qm, T);
     std::vector<float> single;
     {
         MatrixChunkReader reader(Xq);
         VectorSink sink;
         ASSERT_TRUE(engine
-                        .run(reader, sink,
-                             StreamConfig().withChunkCycles(n))
+                        .stream(reader, sink,
+                                StreamConfig().withChunkCycles(n))
                         .ok());
         single = sink.takeValues();
     }
@@ -203,8 +203,8 @@ TEST(StreamInferPackedColumns, CrossChunkCarryMatchesSingleChunk)
         MatrixChunkReader reader(Xq);
         VectorSink sink;
         ASSERT_TRUE(engine
-                        .run(reader, sink,
-                             StreamConfig().withChunkCycles(chunk))
+                        .stream(reader, sink,
+                                StreamConfig().withChunkCycles(chunk))
                         .ok());
         ASSERT_EQ(sink.values(), single) << "chunk=" << chunk;
     }
@@ -240,13 +240,14 @@ TEST(StreamInferPackedColumns, AptrRoundTripAtOddBlockSizes)
         ASSERT_TRUE(got.ok()) << got.status().toString();
         if (*got == 0)
             break;
-        if (*got & 63)
+        if (*got & 63) {
             for (size_t c = 0; c < q; ++c)
                 ASSERT_EQ(chunk.bits.colWords(
                               c)[chunk.bits.wordsPerCol() - 1] >>
                               (*got & 63),
                           0u)
                     << "served chunk leaks tail bits";
+        }
         for (size_t c = 0; c < q; ++c)
             for (size_t r = 0; r < *got; ++r)
                 if (chunk.bits.get(r, c))

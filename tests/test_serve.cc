@@ -64,13 +64,13 @@ randomModel(size_t q, uint64_t seed)
 
 /** Reference: the one-stream engine over the whole trace. */
 std::vector<float>
-sequentialReference(const StreamingInference &engine,
+sequentialReference(const Inference &engine,
                     const BitColumnMatrix &Xq,
                     const StreamConfig &config)
 {
     MatrixChunkReader reader(Xq);
     VectorSink sink;
-    StatusOr<StreamStats> stats = engine.run(reader, sink, config);
+    StatusOr<StreamStats> stats = engine.stream(reader, sink, config);
     EXPECT_TRUE(stats.ok()) << stats.status().toString();
     return sink.takeValues();
 }
@@ -217,8 +217,8 @@ TEST(ServeDeterminism, ConcurrentSessionsMatchSequentialRuns)
     ASSERT_TRUE(reg->addFloat("f", fmodel).ok());
     ASSERT_TRUE(reg->addQuantized("opm", qmodel, 32).ok());
 
-    const StreamingInference fengine(fmodel);
-    const StreamingInference qengine(qmodel, 32);
+    const Inference fengine(fmodel);
+    const Inference qengine(qmodel, 32);
 
     // Eight sessions across the three output modes, distinct traces
     // with non-64-aligned lengths (windows straddle chunk borders).
@@ -477,7 +477,7 @@ TEST(ServeBackpressure, LateWakerCannotReachClosedOrReusedSlot)
 
     const BitColumnMatrix chunk = randomMatrix(64, q, 0xD2);
     const BitColumnMatrix trace = randomMatrix(256, q, 0xD3);
-    const StreamingInference engine(model);
+    const Inference engine(model);
     const std::vector<float> expected =
         sequentialReference(engine, trace, StreamConfig());
 
@@ -610,7 +610,7 @@ TEST(ServeCancel, CancelledSlotReusesClean)
     // a sequential run — any leaked accumulator state would skew the
     // first window.
     const BitColumnMatrix trace = randomMatrix(512, q, 0x83);
-    const StreamingInference engine(model);
+    const Inference engine(model);
     const std::vector<float> expected = sequentialReference(
         engine, trace, StreamConfig().withWindowT(16));
 
@@ -680,11 +680,11 @@ TEST(ServeCancel, FlowReportsCancelledStreams)
         Program::makeLoop("p", GaGenerator::randomBody(rng, 6, 26),
                           200, 7);
 
-    Flows flows(netlist);
+    DesignTimeFlows flows(netlist);
     VectorSink full;
     const FlowReport complete =
-        flows.emulatorStreaming(prog, 400, model, full,
-                                StreamConfig().withChunkCycles(64));
+        flows.runEmulatorFlowStreaming(prog, 400, model, full,
+                                       StreamConfig().withChunkCycles(64));
     EXPECT_FALSE(complete.cancelled);
 
     size_t budget = full.values().size() / 2;
@@ -698,20 +698,20 @@ TEST(ServeCancel, FlowReportsCancelledStreams)
         }
         return Status::okStatus();
     });
-    Flows flows2(netlist);
+    DesignTimeFlows flows2(netlist);
     const FlowReport cancelled =
-        flows2.emulatorStreaming(prog, 400, model, limited,
-                                 StreamConfig().withChunkCycles(64));
+        flows2.runEmulatorFlowStreaming(prog, 400, model, limited,
+                                        StreamConfig().withChunkCycles(64));
     EXPECT_TRUE(cancelled.cancelled);
     ASSERT_LE(partial.size(), full.values().size());
     for (size_t i = 0; i < partial.size(); ++i)
         ASSERT_EQ(partial[i], full.values()[i]) << "sample " << i;
 
-    // The same Flows object runs clean again after a cancel.
+    // The same DesignTimeFlows object runs clean again after a cancel.
     VectorSink again;
     const FlowReport rerun =
-        flows2.emulatorStreaming(prog, 400, model, again,
-                                 StreamConfig().withChunkCycles(64));
+        flows2.runEmulatorFlowStreaming(prog, 400, model, again,
+                                        StreamConfig().withChunkCycles(64));
     EXPECT_FALSE(rerun.cancelled);
     ASSERT_EQ(again.values().size(), full.values().size());
     for (size_t i = 0; i < full.values().size(); ++i)
@@ -976,8 +976,8 @@ TEST(ServeLoop, DrivesSessionsAndRecordsReplayableFiles)
         powerSamplesFor(live, "a").swap(live_a);
         powerSamplesFor(live, "b").swap(live_b);
     }
-    const StreamingInference qengine(qmodel, 32);
-    const StreamingInference fengine(fmodel);
+    const Inference qengine(qmodel, 32);
+    const Inference fengine(fmodel);
     const std::vector<float> want_a =
         sequentialReference(qengine, trace_a, StreamConfig());
     const std::vector<float> want_b = sequentialReference(
@@ -992,7 +992,7 @@ TEST(ServeLoop, DrivesSessionsAndRecordsReplayableFiles)
     // Each record file replays standalone to bit-identical samples —
     // including auto-closed "b", whose record must carry the implied
     // close.
-    for (const std::string name : {std::string("a"), std::string("b")}) {
+    for (const std::string &name : {std::string("a"), std::string("b")}) {
         std::ifstream rec(record_dir / (name + ".ndjson"));
         ASSERT_TRUE(rec.is_open()) << name;
         std::ostringstream replay_out;
@@ -1071,7 +1071,7 @@ TEST(ServeLoop, RecordOpenFailureStillDrainsOpenSessions)
 
     // Session "a" was still drained and closed: its record file got
     // the implied close and replays standalone to the exact samples.
-    const StreamingInference engine(model);
+    const Inference engine(model);
     const std::vector<float> want =
         sequentialReference(engine, trace, StreamConfig());
     std::ifstream rec(record_dir / "a.ndjson");

@@ -244,23 +244,54 @@ TEST(VcdStatus, BadTimestampIsParseError)
     }
 }
 
-TEST(VcdStatus, NonMonotonicTimestampIsParseErrorWhenStreaming)
+TEST(VcdStatus, NonMonotonicTimestampIsParseError)
 {
     const std::string body =
         std::string(kVcdHeader) + "#5\n1!\n#2\n0!\n";
-    std::istringstream is(body);
-    VcdChunkReader reader(is);
-    EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    {
+        std::istringstream is(body);
+        StatusOr<VcdTrace> got = tryParseVcd(is);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::ParseError);
+    }
+    {
+        std::istringstream is(body);
+        VcdChunkReader reader(is);
+        EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    }
 }
 
-TEST(VcdStatus, DuplicateIdIsParseErrorWhenStreaming)
+TEST(VcdStatus, DuplicateIdIsParseError)
 {
     const std::string body = "$var wire 1 ! sig_a $end\n"
                              "$var wire 1 ! sig_b $end\n"
                              "$enddefinitions $end\n#0\n";
+    {
+        std::istringstream is(body);
+        StatusOr<VcdTrace> got = tryParseVcd(is);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::ParseError);
+    }
+    {
+        std::istringstream is(body);
+        VcdChunkReader reader(is);
+        EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    }
+}
+
+TEST(VcdStatus, OverInMemoryCapIsParseError)
+{
+    // 4096 signals x 1048577 cycles is one row past the 2^32-bit cap
+    // of the in-memory parse; the streaming reader has no such cap.
+    std::string body;
+    for (int k = 0; k < 4096; ++k)
+        body += "$var wire 1 v" + std::to_string(k) + " s" +
+                std::to_string(k) + " $end\n";
+    body += "$enddefinitions $end\n#0\n#1048577\n";
     std::istringstream is(body);
-    VcdChunkReader reader(is);
-    EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    StatusOr<VcdTrace> got = tryParseVcd(is);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::ParseError);
 }
 
 TEST(VcdStatus, MidTokenBodyEofIsCleanEndOfTrace)

@@ -49,12 +49,12 @@ randomModel(size_t q, uint64_t seed)
 }
 
 std::vector<float>
-streamToVector(const StreamingInference &engine,
+streamToVector(const Inference &engine,
                const BitColumnMatrix &Xq, const StreamConfig &config)
 {
     MatrixChunkReader reader(Xq);
     VectorSink sink;
-    StatusOr<StreamStats> stats = engine.run(reader, sink, config);
+    StatusOr<StreamStats> stats = engine.stream(reader, sink, config);
     EXPECT_TRUE(stats.ok()) << stats.status().toString();
     return sink.takeValues();
 }
@@ -88,7 +88,7 @@ TEST(StreamInfer, PerCycleBitIdenticalAcrossChunkSizes)
     const ApolloModel model = randomModel(q, 0xB2);
     const std::vector<float> batch = model.predictProxies(Xq);
 
-    const StreamingInference engine(model);
+    const Inference engine(model);
     for (const size_t chunk : {size_t{1}, size_t{3}, size_t{64},
                                size_t{127}, size_t{1000}, n + 57}) {
         const std::vector<float> streamed = streamToVector(
@@ -106,7 +106,7 @@ TEST(StreamInfer, WindowedBitIdenticalForPaperTaus)
     const BitColumnMatrix Xq = randomMatrix(n, q, 0xC3);
     const ApolloModel model = randomModel(q, 0xD4);
     const MultiCycleModel mc{model, 1};
-    const StreamingInference engine(model);
+    const Inference engine(model);
 
     for (const uint32_t T : {2u, 8u, 128u}) {
         const SegmentInfo whole{"", 0, n};
@@ -132,7 +132,7 @@ TEST(StreamInfer, QuantizedBitIdenticalToOpmSimulator)
 
     for (const uint32_t T : {1u, 4u, 32u}) {
         const std::vector<float> batch = ref::opmSimulate(qm, Xq, T);
-        const StreamingInference engine(qm, T);
+        const Inference engine(qm, T);
         for (const size_t chunk : {size_t{1}, size_t{77}, size_t{1000}}) {
             const std::vector<float> streamed = streamToVector(
                 engine, Xq, StreamConfig().withChunkCycles(chunk));
@@ -148,7 +148,7 @@ TEST(StreamInfer, DeterministicAcrossChunksInFlight)
 {
     const size_t n = 2048, q = 33;
     const BitColumnMatrix Xq = randomMatrix(n, q, 0x17);
-    const StreamingInference engine(randomModel(q, 0x28));
+    const Inference engine(randomModel(q, 0x28));
 
     const std::vector<float> one = streamToVector(
         engine, Xq,
@@ -165,11 +165,11 @@ TEST(StreamInfer, StatsAccounting)
 {
     const size_t n = 500, q = 20;
     const BitColumnMatrix Xq = randomMatrix(n, q, 0x39);
-    const StreamingInference engine(randomModel(q, 0x4A));
+    const Inference engine(randomModel(q, 0x4A));
 
     MatrixChunkReader reader(Xq);
     VectorSink sink;
-    StatusOr<StreamStats> stats = engine.run(
+    StatusOr<StreamStats> stats = engine.stream(
         reader, sink, StreamConfig().withChunkCycles(128));
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->cycles, n);
@@ -182,23 +182,23 @@ TEST(StreamInfer, StatsAccounting)
 TEST(StreamInfer, ConfigAndArityErrors)
 {
     const BitColumnMatrix Xq = randomMatrix(64, 8, 0x5B);
-    const StreamingInference engine(randomModel(8, 0x6C));
+    const Inference engine(randomModel(8, 0x6C));
     MatrixChunkReader reader(Xq);
     VectorSink sink;
 
     StatusOr<StreamStats> bad_chunk =
-        engine.run(reader, sink, StreamConfig().withChunkCycles(0));
+        engine.stream(reader, sink, StreamConfig().withChunkCycles(0));
     ASSERT_FALSE(bad_chunk.ok());
     EXPECT_EQ(bad_chunk.status().code(), StatusCode::InvalidArgument);
 
     StatusOr<StreamStats> bad_T =
-        engine.run(reader, sink, StreamConfig().withWindowT(3));
+        engine.stream(reader, sink, StreamConfig().withWindowT(3));
     ASSERT_FALSE(bad_T.ok());
     EXPECT_EQ(bad_T.status().code(), StatusCode::InvalidArgument);
 
-    const StreamingInference other(randomModel(9, 0x7D));
+    const Inference other(randomModel(9, 0x7D));
     MatrixChunkReader reader2(Xq);
-    StatusOr<StreamStats> arity = other.run(reader2, sink, {});
+    StatusOr<StreamStats> arity = other.stream(reader2, sink, {});
     ASSERT_FALSE(arity.ok());
     EXPECT_EQ(arity.status().code(), StatusCode::InvalidArgument);
 }
@@ -207,7 +207,7 @@ TEST(StreamSinks, CallbackCancelStopsGracefully)
 {
     const size_t n = 4096, q = 10;
     const BitColumnMatrix Xq = randomMatrix(n, q, 0x8E);
-    const StreamingInference engine(randomModel(q, 0x9F));
+    const Inference engine(randomModel(q, 0x9F));
 
     size_t seen = 0;
     CallbackSink sink([&](uint64_t, std::span<const float> values) {
@@ -218,7 +218,7 @@ TEST(StreamSinks, CallbackCancelStopsGracefully)
     });
     MatrixChunkReader reader(Xq);
     StatusOr<StreamStats> stats =
-        engine.run(reader, sink, StreamConfig().withChunkCycles(256));
+        engine.stream(reader, sink, StreamConfig().withChunkCycles(256));
     ASSERT_TRUE(stats.ok()) << stats.status().toString();
     EXPECT_TRUE(stats->cancelled);
     EXPECT_LT(stats->cycles, n);
@@ -234,7 +234,7 @@ TEST(StreamSinks, RingBufferKeepsLatest)
 
     RingBufferSink sink(100);
     MatrixChunkReader reader(Xq);
-    StatusOr<StreamStats> stats = StreamingInference(model).run(
+    StatusOr<StreamStats> stats = Inference(model).stream(
         reader, sink, StreamConfig().withChunkCycles(64));
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(sink.totalSeen(), n);
@@ -251,9 +251,9 @@ TEST(StreamSinks, CsvWritesIndexedRows)
     std::ostringstream os;
     CsvPowerSink sink(os);
     MatrixChunkReader reader(Xq);
-    StatusOr<StreamStats> stats = StreamingInference(
-        randomModel(5, 0xDE)).run(reader, sink,
-                                  StreamConfig().withChunkCycles(4));
+    StatusOr<StreamStats> stats = Inference(
+        randomModel(5, 0xDE)).stream(reader, sink,
+                                     StreamConfig().withChunkCycles(4));
     ASSERT_TRUE(stats.ok());
     std::istringstream lines(os.str());
     std::string line;
@@ -300,7 +300,7 @@ TEST(ProxyTraceFormat, RoundTripAndStreamedInference)
     const ApolloModel model = randomModel(q, 0xF0);
     ProxyTraceFileReader reader2(path);
     VectorSink sink;
-    StatusOr<StreamStats> stats = StreamingInference(model).run(
+    StatusOr<StreamStats> stats = Inference(model).stream(
         reader2, sink, StreamConfig().withChunkCycles(333));
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(sink.values(), model.predictProxies(Xq));
@@ -422,6 +422,41 @@ TEST(VcdStreaming, RejectsMalformedInput)
     EXPECT_EQ(got.status().code(), StatusCode::ParseError);
 }
 
+TEST(VcdStreaming, ChunkBoundaryInsideTimestampGapKeepsFlips)
+{
+    // Timestamp gaps wider than the chunk: a chunk that ends inside a
+    // gap must not lose the flips of a cycle it has not emitted yet.
+    const std::string vcd = "$var wire 1 ! sig_a $end\n"
+                            "$enddefinitions $end\n"
+                            "#0\n1!\n#100\n0!\n#200\n1!\n#300\n";
+    std::istringstream batch_is(vcd);
+    const VcdTrace batch = parseVcd(batch_is);
+    ASSERT_EQ(batch.toggles.rows(), 300u);
+    for (size_t r = 0; r < 300; ++r)
+        ASSERT_EQ(batch.toggles.get(r, 0), r == 0 || r == 100 || r == 200)
+            << "r=" << r;
+
+    for (const size_t chunk_rows : {size_t{1}, size_t{16}, size_t{99},
+                                     size_t{100}, size_t{512}}) {
+        std::istringstream is(vcd);
+        VcdChunkReader reader(is);
+        ProxyChunk chunk;
+        size_t rows = 0;
+        for (;;) {
+            StatusOr<size_t> got = reader.next(chunk_rows, chunk);
+            ASSERT_TRUE(got.ok()) << got.status().toString();
+            if (*got == 0)
+                break;
+            for (size_t r = 0; r < *got; ++r)
+                ASSERT_EQ(chunk.bits.get(r, 0),
+                          batch.toggles.get(rows + r, 0))
+                    << "chunk=" << chunk_rows << " r=" << rows + r;
+            rows += *got;
+        }
+        EXPECT_EQ(rows, 300u) << "chunk=" << chunk_rows;
+    }
+}
+
 TEST(LoaderStatus, DatasetTryVariants)
 {
     StatusOr<Dataset> missing = tryLoadDatasetFile("no/such/file.apds");
@@ -538,17 +573,13 @@ TEST(PublicApi, TrainOptionsValidateEagerly)
                                   .gamma(6.0)
                                   .nonneg(true)
                                   .relaxRidge(1e-2)
-                                  .selectionCycleCap(5000)
-                                  .screen(false)
-                                  .parallel(false);
+                                  .selectionCycleCap(5000);
     EXPECT_EQ(opts.config().selection.targetQ, 40u);
     EXPECT_EQ(opts.config().selection.gamma, 6.0);
     EXPECT_TRUE(opts.config().selection.nonneg);
     EXPECT_TRUE(opts.config().relaxNonneg);
     EXPECT_EQ(opts.config().relaxRidge, 1e-2);
     EXPECT_EQ(opts.config().selectionCycleCap, 5000u);
-    EXPECT_FALSE(opts.config().selection.screen);
-    EXPECT_FALSE(opts.config().selection.parallel);
 }
 
 TEST(EmulatorFlow, StreamingBackboneMatchesBatchTrace)

@@ -89,10 +89,6 @@ void
 ToggleColumnGenerator::fillColumn(uint32_t sig_id, uint64_t *out)
 {
     APOLLO_ASSERT(n_ > 0, "bind() first");
-    if (naive) {
-        fillNaive(sig_id, out);
-        return;
-    }
 
     const Signal &sig = engine_.netlist().signal(sig_id);
     const auto u = static_cast<size_t>(sig.unit);
@@ -158,29 +154,6 @@ ToggleColumnGenerator::fillColumn(uint32_t sig_id, uint64_t *out)
 
     for (size_t w = 0; w < words_; ++w)
         out[w] &= en[w];
-}
-
-void
-ToggleColumnGenerator::fillMatrix(std::span<const uint32_t> sig_ids,
-                                  BitColumnMatrix &out)
-{
-    out.reset(n_, sig_ids.size());
-    if (n_ == 0)
-        return;
-    // out.wordsPerCol() == wordCount() by construction, so each
-    // column fills in place and keeps the zero-tail rule fillColumn
-    // maintains.
-    for (size_t k = 0; k < sig_ids.size(); ++k)
-        fillColumn(sig_ids[k], out.colWordsMutable(k));
-}
-
-void
-ToggleColumnGenerator::fillNaive(uint32_t sig_id, uint64_t *out) const
-{
-    std::memset(out, 0, words_ * sizeof(uint64_t));
-    for (size_t i = 0; i < n_; ++i)
-        if (engine_.toggles(sig_id, frames_, i, 0))
-            out[i >> 6] |= 1ULL << (i & 63);
 }
 
 } // namespace apollo

@@ -61,24 +61,7 @@ class ToggleColumnGenerator
      */
     void fillColumn(uint32_t sig_id, uint64_t *out);
 
-    /**
-     * Fill a whole packed proxy matrix: column k of @p out is the
-     * toggle column of sig_ids[k] over the bound segment. Resets
-     * @p out to (frames, sig_ids.size()); the column-major 64-cycle
-     * word layout is exactly what the bit-parallel streaming
-     * inference kernels consume.
-     */
-    void fillMatrix(std::span<const uint32_t> sig_ids,
-                    BitColumnMatrix &out);
-
-    /**
-     * Reference mode for the differential harness and the seed-cost
-     * baseline: per-cycle ActivityEngine::toggles calls, no batching.
-     */
-    bool naive = false;
-
   private:
-    void fillNaive(uint32_t sig_id, uint64_t *out) const;
     void drawColumn(uint64_t seed);
     const uint64_t *busEventMask(const Signal &sig);
 

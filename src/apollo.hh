@@ -113,9 +113,6 @@
 
 namespace apollo {
 
-/** Library version string ("<major>.<minor>"). */
-const char *apolloVersion();
-
 /**
  * Validated builder for the training configuration. Defaults (also the
  * ApolloTrainConfig/ProxySelectorConfig defaults):

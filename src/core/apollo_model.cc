@@ -95,46 +95,4 @@ ApolloModel::load(std::istream &is)
     return model;
 }
 
-Calibration
-fitCalibration(std::span<const float> truth,
-               std::span<const float> prediction)
-{
-    APOLLO_REQUIRE(truth.size() == prediction.size() &&
-                       truth.size() > 2,
-                   "calibration arity mismatch");
-    const auto n = static_cast<double>(truth.size());
-    double sum_p = 0.0;
-    double sum_t = 0.0;
-    double sum_pp = 0.0;
-    double sum_pt = 0.0;
-    for (size_t i = 0; i < truth.size(); ++i) {
-        sum_p += prediction[i];
-        sum_t += truth[i];
-        sum_pp += static_cast<double>(prediction[i]) * prediction[i];
-        sum_pt += static_cast<double>(prediction[i]) * truth[i];
-    }
-    const double denom = n * sum_pp - sum_p * sum_p;
-    Calibration cal;
-    if (std::abs(denom) > 1e-12) {
-        cal.scale = (n * sum_pt - sum_p * sum_t) / denom;
-        cal.offset = (sum_t - cal.scale * sum_p) / n;
-    } else {
-        cal.scale = 1.0;
-        cal.offset = (sum_t - sum_p) / n;
-    }
-    return cal;
-}
-
-ApolloModel
-applyCalibration(const ApolloModel &model,
-                 const Calibration &calibration)
-{
-    ApolloModel out = model;
-    for (float &w : out.weights)
-        w = static_cast<float>(w * calibration.scale);
-    out.intercept =
-        model.intercept * calibration.scale + calibration.offset;
-    return out;
-}
-
 } // namespace apollo

@@ -79,28 +79,6 @@ struct ApolloModel
     static ApolloModel load(std::istream &is);
 };
 
-/**
- * Affine re-calibration (§6: the OPM accommodates "potential model
- * re-training using sign-off or hardware measurement power values"):
- * least-squares fit of truth ~ scale * prediction + offset, folded
- * back into the model's weights and intercept. Used to align a
- * deployed OPM with silicon measurements without re-selecting proxies.
- */
-struct Calibration
-{
-    double scale = 1.0;
-    double offset = 0.0;
-};
-
-/** Fit the affine correction from paired (truth, prediction) samples. */
-Calibration fitCalibration(std::span<const float> truth,
-                           std::span<const float> prediction);
-
-/** Fold a calibration into a model (weights *= scale, intercept
- *  affine-adjusted). */
-ApolloModel applyCalibration(const ApolloModel &model,
-                             const Calibration &calibration);
-
 } // namespace apollo
 
 #endif // APOLLO_CORE_APOLLO_MODEL_HH

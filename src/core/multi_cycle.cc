@@ -14,18 +14,6 @@ MultiCycleModel::predictWindowsFull(
     return windowAverages(sums, T, segments, base.intercept);
 }
 
-StatusOr<std::vector<float>>
-MultiCycleModel::predictWindowsProxies(
-    const BitColumnMatrix &Xq, uint32_t T,
-    std::span<const SegmentInfo> segments) const
-{
-    std::vector<float> sums(Xq.rows());
-    if (Status st = base.sumColumns(Xq, ColumnLayout::Proxies, 0.0f, sums);
-        !st.ok())
-        return st;
-    return windowAverages(sums, T, segments, base.intercept);
-}
-
 MultiCycleModel
 trainMultiCycle(const Dataset &train, uint32_t tau,
                 const ApolloTrainConfig &config,

@@ -46,13 +46,6 @@ struct MultiCycleModel
     StatusOr<std::vector<float>> predictWindowsFull(
         const BitColumnMatrix &X, uint32_t T,
         std::span<const SegmentInfo> segments) const;
-
-    /** Same over a proxy-only matrix (columns follow base.proxyIds);
-     *  InvalidArgument when it has other than base.proxyCount()
-     *  columns. */
-    StatusOr<std::vector<float>> predictWindowsProxies(
-        const BitColumnMatrix &Xq, uint32_t T,
-        std::span<const SegmentInfo> segments) const;
 };
 
 /** Train APOLLO_tau from a per-cycle dataset. */

@@ -79,12 +79,6 @@ StreamPipeline::StreamPipeline(const QuantizedModel &model, uint32_t T)
     sim_.emplace(model, T);
 }
 
-size_t
-StreamPipeline::proxyCount() const
-{
-    return qmodel_ ? qmodel_->proxyCount() : model_->proxyCount();
-}
-
 void
 StreamPipeline::computeSums(const BitColumnMatrix &bits, size_t rows,
                             ChunkSums &out) const
@@ -158,17 +152,6 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
     return sunk;
 }
 
-void
-StreamPipeline::reset()
-{
-    cycles_ = 0;
-    outputs_ = 0;
-    if (window_)
-        window_->reset();
-    if (sim_)
-        sim_->reset();
-}
-
 Status
 StreamConfig::validate() const
 {
@@ -181,37 +164,9 @@ StreamConfig::validate() const
     return Status::okStatus();
 }
 
-RingBufferSink::RingBufferSink(size_t capacity) : capacity_(capacity)
+CsvPowerSink::CsvPowerSink(std::ostream &os) : os_(os)
 {
-    APOLLO_REQUIRE(capacity > 0, "ring buffer needs capacity > 0");
-}
-
-Status
-RingBufferSink::consume(uint64_t, std::span<const float> values)
-{
-    totalSeen_ += values.size();
-    // Only the last capacity_ values of a large batch can survive.
-    const size_t keep = std::min(values.size(), capacity_);
-    if (keep < values.size())
-        ring_.clear();
-    for (size_t i = values.size() - keep; i < values.size(); ++i) {
-        if (ring_.size() == capacity_)
-            ring_.pop_front();
-        ring_.push_back(values[i]);
-    }
-    return Status::okStatus();
-}
-
-std::vector<float>
-RingBufferSink::latest() const
-{
-    return std::vector<float>(ring_.begin(), ring_.end());
-}
-
-CsvPowerSink::CsvPowerSink(std::ostream &os, bool header) : os_(os)
-{
-    if (header)
-        os_ << "index,power\n";
+    os_ << "index,power\n";
 }
 
 Status
@@ -298,20 +253,6 @@ Inference::predictFull(const BitColumnMatrix &X) const
     return model_.predictFull(X);
 }
 
-std::vector<float>
-Inference::predictWindows(const BitColumnMatrix &Xq, uint32_t T) const
-{
-    APOLLO_REQUIRE(!quantized(),
-                   "predictWindows is a float-engine call; the "
-                   "quantized engine windows via predict()");
-    std::vector<float> sums(Xq.rows());
-    model_.sumColumns(Xq, ColumnLayout::Proxies, 0.0f, sums).orFatal();
-    const SegmentInfo whole{"", 0, Xq.rows()};
-    return windowAverages(sums, T, std::span<const SegmentInfo>(&whole, 1),
-                          model_.intercept)
-        .value();
-}
-
 StatusOr<StreamStats>
 Inference::stream(ProxyChunkReader &reader, PowerSink &sink,
                   const StreamConfig &config) const
@@ -325,7 +266,7 @@ Inference::stream(ProxyChunkReader &reader, PowerSink &sink,
             windowT_, ", config requested ", config.windowT);
     const uint32_t T = qmodel_ ? windowT_ : config.windowT;
 
-    // Arity is validated per chunk below: file/VCD readers only learn
+    // Arity is validated per chunk below: file readers only learn
     // their proxy count after the first read.
     const size_t q = proxyCount();
 

@@ -35,7 +35,6 @@
 #define APOLLO_FLOW_STREAM_ENGINE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -153,36 +152,14 @@ class CallbackSink : public PowerSink
 };
 
 /**
- * Keeps only the most recent @p capacity samples — the runtime
- * introspection shape: a power-management agent polling a rolling
- * window of OPM output.
+ * Writes the header "index,power", then one "<index>,<power>" row per
+ * sample as samples arrive; a failed write is an IoError.
  */
-class RingBufferSink : public PowerSink
-{
-  public:
-    explicit RingBufferSink(size_t capacity);
-
-    Status consume(uint64_t first_index,
-                   std::span<const float> values) override;
-
-    /** Samples currently held, oldest first. */
-    std::vector<float> latest() const;
-    /** Global index of the oldest held sample. */
-    uint64_t firstIndex() const { return totalSeen_ - ring_.size(); }
-    uint64_t totalSeen() const { return totalSeen_; }
-
-  private:
-    size_t capacity_;
-    std::deque<float> ring_;
-    uint64_t totalSeen_ = 0;
-};
-
-/** Writes "index,power" CSV rows as samples arrive. */
 class CsvPowerSink : public PowerSink
 {
   public:
     /** @p os is kept by reference. */
-    explicit CsvPowerSink(std::ostream &os, bool header = true);
+    explicit CsvPowerSink(std::ostream &os);
 
     Status consume(uint64_t first_index,
                    std::span<const float> values) override;
@@ -269,7 +246,6 @@ class StreamPipeline
     StreamPipeline(const QuantizedModel &model, uint32_t T);
 
     bool quantized() const { return qmodel_ != nullptr; }
-    size_t proxyCount() const;
     uint32_t windowT() const { return windowT_; }
 
     /** Cycles consumed and samples emitted so far (across chunks). */
@@ -295,9 +271,6 @@ class StreamPipeline
      * later stream over a reused pipeline cannot inherit it.
      */
     Status emit(const ChunkSums &sums, PowerSink &sink);
-
-    /** Drop all carried state (fresh-stream condition, counters zeroed). */
-    void reset();
 
     /** Engine-owned staging bytes (peak-buffer accounting). */
     uint64_t
@@ -382,15 +355,6 @@ class Inference
 
     /** Per-cycle batch inference over a full M-column matrix. */
     std::vector<float> predictFull(const BitColumnMatrix &X) const;
-
-    /**
-     * Eq. (9) batch inference: T-cycle window averages over the whole
-     * trace (one segment, trailing partial window dropped). Like
-     * predict(), data errors (a column count other than proxyCount(),
-     * no full window) are fatal.
-     */
-    std::vector<float> predictWindows(const BitColumnMatrix &Xq,
-                                      uint32_t T) const;
 
     /**
      * Streaming inference: pump @p reader to exhaustion into @p sink

@@ -204,8 +204,6 @@ Instruction vstr(int vd, int rn, int32_t offset)
 { return make(Opcode::VStr, vd, rn, 0, offset); }
 Instruction bnez(int rn, int32_t disp)
 { return make(Opcode::Bnez, 0, rn, 0, disp); }
-Instruction b(int32_t disp)
-{ return make(Opcode::B, 0, 0, 0, disp); }
 Instruction nop()
 { return make(Opcode::Nop, 0, 0, 0, 0); }
 

@@ -115,7 +115,6 @@ Instruction vfma(int vd, int vn, int vm);
 Instruction vldr(int vd, int rn, int32_t offset);
 Instruction vstr(int vd, int rn, int32_t offset);
 Instruction bnez(int rn, int32_t disp);
-Instruction b(int32_t disp);
 Instruction nop();
 
 } // namespace asm_helpers

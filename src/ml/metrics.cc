@@ -69,28 +69,6 @@ nmae(std::span<const float> label, std::span<const float> pred)
 }
 
 double
-pearson(std::span<const float> a, std::span<const float> b)
-{
-    APOLLO_REQUIRE(a.size() == b.size() && a.size() > 1,
-                   "metric arity mismatch");
-    const double ma = mean(a);
-    const double mb = mean(b);
-    double cov = 0.0;
-    double va = 0.0;
-    double vb = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const double da = a[i] - ma;
-        const double db = b[i] - mb;
-        cov += da * db;
-        va += da * da;
-        vb += db * db;
-    }
-    if (va <= 0.0 || vb <= 0.0)
-        return 0.0;
-    return cov / std::sqrt(va * vb);
-}
-
-double
 averageVif(const BitColumnMatrix &X, double ridge, double cap)
 {
     const size_t q = X.cols();

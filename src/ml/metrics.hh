@@ -26,9 +26,6 @@ double nrmse(std::span<const float> label, std::span<const float> pred);
 /** NMAE = sum|err| / sum(label), per §7.1. */
 double nmae(std::span<const float> label, std::span<const float> pred);
 
-/** Pearson correlation coefficient. */
-double pearson(std::span<const float> a, std::span<const float> b);
-
 /** Mean of a span. */
 double mean(std::span<const float> v);
 

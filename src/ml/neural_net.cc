@@ -287,13 +287,4 @@ PowerNet::predict(const BitColumnMatrix &X) const
     return out;
 }
 
-double
-PowerNet::macsPerCycle() const
-{
-    // First layer effectively touches all F inputs' weights at worst
-    // case; report the dense equivalent like PRIMAL's CNN cost model.
-    return static_cast<double>(inputIds_.size()) * h1_ +
-           static_cast<double>(h1_) * h2_ + h2_;
-}
-
 } // namespace apollo

@@ -55,9 +55,6 @@ class PowerNet
     size_t inputCount() const { return inputIds_.size(); }
     const std::vector<uint32_t> &inputIds() const { return inputIds_; }
 
-    /** Approximate multiply-accumulate count per inference cycle. */
-    double macsPerCycle() const;
-
   private:
     /** Forward pass; returns standardized prediction. */
     float forward(const std::vector<uint32_t> &active, float *h1,

@@ -102,19 +102,6 @@ multiplyTransposeCentered(const BitColumnMatrix &X,
 
 } // namespace
 
-void
-PcaModel::projectRow(const std::vector<uint32_t> &set_cols,
-                     float *z_out) const
-{
-    for (size_t t = 0; t < components; ++t)
-        z_out[t] = -meanDotV_[t];
-    for (uint32_t c : set_cols) {
-        const float *vr = &v[c * components];
-        for (size_t t = 0; t < components; ++t)
-            z_out[t] += vr[t];
-    }
-}
-
 std::vector<float>
 PcaModel::projectAll(const BitColumnMatrix &X) const
 {

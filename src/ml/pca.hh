@@ -32,13 +32,6 @@ struct PcaModel
     /** Projection matrix V, row-major M x k. */
     std::vector<float> v;
 
-    /**
-     * Project one toggle row (given by its set-bit column ids) into
-     * component space: z = V^T (x - mean).
-     */
-    void projectRow(const std::vector<uint32_t> &set_cols,
-                    float *z_out) const;
-
     /** Project every row of @p X; returns row-major rows x k. */
     std::vector<float> projectAll(const BitColumnMatrix &X) const;
 

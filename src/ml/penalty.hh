@@ -61,12 +61,6 @@ softThreshold(double z, double t)
     return 0.0;
 }
 
-/** Penalty value P(w) for loss reporting and tests (Eq. 5 / Eq. 6). */
-double penaltyValue(double w, const PenaltyConfig &cfg);
-
-/** |dP/dw| — the weight shrinking rate (Eq. 7). */
-double penaltyDerivativeMagnitude(double w, const PenaltyConfig &cfg);
-
 /**
  * Closed-form minimizer of the coordinate subproblem (see file docs).
  * @param rho  <x_j, r>/N + a * w_old

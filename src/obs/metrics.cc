@@ -221,16 +221,4 @@ MetricRegistry::snapshotJson() const
     return out;
 }
 
-void
-MetricRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &[name, counter] : counters_)
-        counter->reset();
-    for (auto &[name, gauge] : gauges_)
-        gauge->reset();
-    for (auto &[name, hist] : histograms_)
-        hist->reset();
-}
-
 } // namespace apollo::obs

@@ -173,8 +173,7 @@ class ScopedTimer
 /**
  * The process-wide registry. Metric objects are heap-allocated and
  * never destroyed before process exit, so references handed out by
- * counter()/gauge()/histogram() stay valid forever (reset() zeroes
- * values without invalidating them).
+ * counter()/gauge()/histogram() stay valid forever.
  */
 class MetricRegistry
 {
@@ -209,9 +208,6 @@ class MetricRegistry
      * "histograms": {...}} with keys sorted lexicographically.
      */
     std::string snapshotJson() const;
-
-    /** Zero every metric value (registrations survive). */
-    void reset();
 
   private:
     MetricRegistry() = default;

@@ -8,18 +8,6 @@
 
 namespace apollo {
 
-ApolloModel
-QuantizedModel::toFloatModel() const
-{
-    ApolloModel model;
-    model.proxyIds = proxyIds;
-    model.intercept = dequantize(qintercept);
-    model.weights.resize(qweights.size());
-    for (size_t q = 0; q < qweights.size(); ++q)
-        model.weights[q] = static_cast<float>(qweights[q] * scale);
-    return model;
-}
-
 StatusOr<QuantizedModel>
 tryQuantizeModel(const ApolloModel &model, uint32_t bits)
 {

@@ -42,9 +42,6 @@ struct QuantizedModel
 
     /** Convert an integer accumulator value back to power units. */
     double dequantize(int64_t acc) const { return acc * scale; }
-
-    /** Float model reconstructed from the quantized weights. */
-    ApolloModel toFloatModel() const;
 };
 
 /**
@@ -55,9 +52,10 @@ struct QuantizedModel
  * llround, so a huge intercept/scale ratio can never wrap int64).
  *
  * Dequantization error contract (checked by the opm.quantize_roundtrip
- * differential oracle): a T-window OPM output differs from the
- * toFloatModel() Eq. (9) float inference by less than one scale unit
- * (the >> log2(T) truncation) plus float rounding of the weight sums.
+ * differential oracle): a T-window OPM output differs from the Eq. (9)
+ * float inference of the dequantized model (ref::dequantize) by less
+ * than one scale unit (the >> log2(T) truncation) plus float rounding
+ * of the weight sums.
  */
 StatusOr<QuantizedModel> tryQuantizeModel(const ApolloModel &model,
                                           uint32_t bits);

@@ -6,15 +6,6 @@ namespace apollo {
 
 PdnModel::PdnModel(const PdnParams &params) : params_(params) {}
 
-void
-PdnModel::reset()
-{
-    x1_ = 0.0;
-    x2_ = 0.0;
-    lastCurrent_ = 0.0;
-    first_ = true;
-}
-
 double
 PdnModel::step(double current)
 {
@@ -34,16 +25,6 @@ PdnModel::step(double current)
     x1_ += x2_;
 
     return params_.vdd - params_.rStatic * current - x1_;
-}
-
-std::vector<double>
-PdnModel::simulate(const std::vector<double> &current)
-{
-    std::vector<double> voltage;
-    voltage.reserve(current.size());
-    for (double i : current)
-        voltage.push_back(step(i));
-    return voltage;
 }
 
 } // namespace apollo

@@ -11,7 +11,6 @@
 #define APOLLO_POWER_PDN_MODEL_HH
 
 #include <cstddef>
-#include <vector>
 
 namespace apollo {
 
@@ -40,11 +39,6 @@ class PdnModel
 
     /** Advance one cycle with current demand @p current; returns Vdd. */
     double step(double current);
-
-    /** Run a whole current trace; returns the voltage trace. */
-    std::vector<double> simulate(const std::vector<double> &current);
-
-    void reset();
 
     const PdnParams &params() const { return params_; }
 

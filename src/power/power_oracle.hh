@@ -21,9 +21,7 @@
 #ifndef APOLLO_POWER_POWER_ORACLE_HH
 #define APOLLO_POWER_POWER_ORACLE_HH
 
-#include <array>
 #include <cstdint>
-#include <span>
 
 #include "rtl/netlist.hh"
 #include "uarch/activity_frame.hh"
@@ -44,40 +42,12 @@ struct PowerParams
     double outputScale = 1.0 / 400.0;
 };
 
-/** Per-cycle power components (pre-outputScale breakdown sums). */
-struct PowerBreakdown
-{
-    double dynamic = 0.0;
-    double glitch = 0.0;
-    double shortCircuit = 0.0;
-    double leakage = 0.0;
-    std::array<double, numUnits> unitDynamic{};
-
-    double
-    total() const
-    {
-        return dynamic + glitch + shortCircuit + leakage;
-    }
-};
-
 /** Ground-truth power calculator. */
 class PowerOracle
 {
   public:
     explicit PowerOracle(const Netlist &netlist,
                          const PowerParams &params = PowerParams{});
-
-    /**
-     * Power of one cycle given the toggle bits of *all* signals packed in
-     * @p row_bits (bit j = signal j) and the cycle's frame.
-     */
-    double cyclePower(const ActivityFrame &frame,
-                      std::span<const uint64_t> row_bits) const;
-
-    /** Same, with a per-unit/per-component breakdown. */
-    PowerBreakdown cyclePowerBreakdown(
-        const ActivityFrame &frame,
-        std::span<const uint64_t> row_bits) const;
 
     /**
      * Per-signal contribution pieces, used by the column-parallel
@@ -96,9 +66,6 @@ class PowerOracle
 
     const PowerParams &params() const { return params_; }
     double halfVddSquared() const { return halfV2_; }
-
-    /** Constant leakage power (post-outputScale). */
-    double leakagePower() const;
 
   private:
     const Netlist &netlist_;

@@ -123,6 +123,18 @@ quantizeModel(const ApolloModel &model, uint32_t bits)
     return qm;
 }
 
+ApolloModel
+dequantize(const QuantizedModel &model)
+{
+    ApolloModel out;
+    out.proxyIds = model.proxyIds;
+    out.intercept = model.dequantize(model.qintercept);
+    out.weights.resize(model.qweights.size());
+    for (size_t q = 0; q < model.qweights.size(); ++q)
+        out.weights[q] = static_cast<float>(model.qweights[q] * model.scale);
+    return out;
+}
+
 std::vector<float>
 opmSimulate(const QuantizedModel &model, const BitColumnMatrix &Xq,
             uint32_t T)

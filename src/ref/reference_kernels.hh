@@ -49,11 +49,10 @@ std::vector<float> predictFull(const ApolloModel &model,
  * Literal tau-window averaging — NOT the Eq. (9) rearrangement: for
  * each full T-cycle window (never straddling segment boundaries), sum
  * the per-cycle weighted sums in a double accumulator, divide by T,
- * add the intercept. Oracle for
- * MultiCycleModel::predictWindowsProxies / predictWindowsFull and the
- * streaming windowed engine; bit-exact because the per-cycle float sums share the
- * ascending-q order and the window accumulation shares the
- * ascending-cycle double order.
+ * add the intercept. Oracle for MultiCycleModel::predictWindowsFull
+ * and the streaming windowed engine; bit-exact because the per-cycle
+ * float sums share the ascending-q order and the window accumulation
+ * shares the ascending-cycle double order.
  */
 std::vector<float> predictWindowsProxies(
     const ApolloModel &model, const BitColumnMatrix &Xq, uint32_t T,
@@ -66,6 +65,13 @@ std::vector<float> predictWindowsProxies(
  * oracle for quantizeModel().
  */
 QuantizedModel quantizeModel(const ApolloModel &model, uint32_t bits);
+
+/**
+ * The float model a quantized model stands for: each weight and the
+ * intercept scaled back to power units (q * scale). The float side of
+ * the quantization error contract (opm.quantize_roundtrip).
+ */
+ApolloModel dequantize(const QuantizedModel &model);
 
 /**
  * Literal OPM evaluation: per cycle the integer sum of qintercept plus

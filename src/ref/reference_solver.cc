@@ -235,4 +235,45 @@ objective(const FeatureView &X, std::span<const float> y,
     return obj;
 }
 
+double
+penaltyValue(double w, const PenaltyConfig &cfg)
+{
+    const double aw = std::abs(w);
+    double p = 0.5 * cfg.lambda2 * w * w;
+    switch (cfg.kind) {
+      case PenaltyKind::None:
+        return 0.0;
+      case PenaltyKind::Ridge:
+        return p;
+      case PenaltyKind::Lasso:
+        return p + cfg.lambda * aw;
+      case PenaltyKind::Mcp: {
+        // Eq. (6).
+        if (aw <= cfg.gamma * cfg.lambda)
+            return p + cfg.lambda * aw - w * w / (2.0 * cfg.gamma);
+        return p + 0.5 * cfg.gamma * cfg.lambda * cfg.lambda;
+      }
+    }
+    return p;
+}
+
+double
+penaltyDerivativeMagnitude(double w, const PenaltyConfig &cfg)
+{
+    const double aw = std::abs(w);
+    switch (cfg.kind) {
+      case PenaltyKind::None:
+      case PenaltyKind::Ridge:
+        return cfg.lambda2 * aw;
+      case PenaltyKind::Lasso:
+        return cfg.lambda + cfg.lambda2 * aw;
+      case PenaltyKind::Mcp:
+        // Eq. (7): large weights are not shrunk at all.
+        if (aw <= cfg.gamma * cfg.lambda)
+            return cfg.lambda - aw / cfg.gamma + cfg.lambda2 * aw;
+        return cfg.lambda2 * aw;
+    }
+    return 0.0;
+}
+
 } // namespace apollo::ref

@@ -77,6 +77,13 @@ double objective(const FeatureView &X, std::span<const float> y,
                  std::span<const float> w, double intercept,
                  const PenaltyConfig &penalty);
 
+/** Penalty value P(w), Eq. (5) / Eq. (6) plus the L2 term (0 for
+ *  PenaltyKind::None); the closed-form oracle of coordinateUpdate(). */
+double penaltyValue(double w, const PenaltyConfig &cfg);
+
+/** |dP/dw|, the weight shrinking rate of Eq. (7). */
+double penaltyDerivativeMagnitude(double w, const PenaltyConfig &cfg);
+
 } // namespace apollo::ref
 
 #endif // APOLLO_REF_REFERENCE_SOLVER_HH

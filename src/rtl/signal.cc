@@ -27,17 +27,4 @@ unitName(UnitId unit)
     }
 }
 
-const char *
-signalKindName(SignalKind kind)
-{
-    switch (kind) {
-      case SignalKind::FlipFlop: return "FlipFlop";
-      case SignalKind::CombWire: return "CombWire";
-      case SignalKind::GatedClock: return "GatedClock";
-      case SignalKind::ClockEnable: return "ClockEnable";
-      case SignalKind::BusBit: return "BusBit";
-      default: return "?";
-    }
-}
-
 } // namespace apollo

@@ -60,9 +60,6 @@ enum class SignalKind : uint8_t
     BusBit,      ///< one bit of a multi-bit bus (correlated toggling)
 };
 
-/** Name of a signal kind for reports. */
-const char *signalKindName(SignalKind kind);
-
 /**
  * Static per-signal properties. Kept compact (the netlist holds tens of
  * thousands of these; the real designs the paper targets hold >5e5).

@@ -34,26 +34,6 @@ ModelRegistry::addFloat(const std::string &name, ApolloModel model)
     return insert(std::move(entry));
 }
 
-Status
-ModelRegistry::addQuantized(const std::string &name,
-                            QuantizedModel model, uint32_t window_T)
-{
-    if (model.proxyIds.empty())
-        return Status::invalidArgument("model '", name,
-                                       "' has no proxies");
-    if (window_T == 0 || !std::has_single_bit(window_T))
-        return Status::invalidArgument(
-            "OPM window T must be a power of two, got ", window_T);
-    auto entry = std::make_shared<ModelEntry>();
-    entry->name = name;
-    entry->qmodel =
-        std::make_shared<const QuantizedModel>(std::move(model));
-    entry->model = std::make_shared<const ApolloModel>(
-        entry->qmodel->toFloatModel());
-    entry->windowT = window_T;
-    return insert(std::move(entry));
-}
-
 StatusOr<ModelInfo>
 ModelRegistry::addQuantizedVariant(const std::string &name,
                                    const std::string &base,
@@ -105,13 +85,6 @@ ModelRegistry::list() const
     for (const auto &[name, entry] : entries_)
         out.push_back(describeEntry(*entry));
     return out;
-}
-
-size_t
-ModelRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
 }
 
 Status

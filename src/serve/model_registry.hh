@@ -64,13 +64,6 @@ class ModelRegistry
     Status addFloat(const std::string &name, ApolloModel model);
 
     /**
-     * Register a quantized OPM variant under @p name. @p window_T must
-     * be a power of two (the OPM's shift-divide contract).
-     */
-    Status addQuantized(const std::string &name, QuantizedModel model,
-                        uint32_t window_T);
-
-    /**
      * Derive a @p bits-bit quantized variant from the float entry
      * @p base and register it under @p name. The variant shares the
      * base entry's float model (no weight copy); only the small
@@ -86,8 +79,6 @@ class ModelRegistry
 
     /** Metadata for every entry, sorted by name. */
     std::vector<ModelInfo> list() const;
-
-    size_t size() const;
 
   private:
     Status insert(std::shared_ptr<const ModelEntry> entry);

@@ -1,7 +1,6 @@
 #include "trace/dataset.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/logging.hh"
@@ -80,43 +79,6 @@ Dataset::selectRows(const std::vector<uint32_t> &rows) const
     });
     out.segments.push_back({"subset", 0, rows.size()});
     return out;
-}
-
-void
-Dataset::splitBySegments(double val_fraction, Dataset &train,
-                         Dataset &val) const
-{
-    APOLLO_REQUIRE(val_fraction > 0.0 && val_fraction < 1.0,
-                   "val_fraction must be in (0, 1)");
-    APOLLO_REQUIRE(!segments.empty(), "dataset has no segment metadata");
-    const size_t stride = std::max<size_t>(
-        2, static_cast<size_t>(std::lround(1.0 / val_fraction)));
-
-    std::vector<uint32_t> train_rows;
-    std::vector<uint32_t> val_rows;
-    std::vector<SegmentInfo> train_segs;
-    std::vector<SegmentInfo> val_segs;
-
-    for (size_t s = 0; s < segments.size(); ++s) {
-        const SegmentInfo &seg = segments[s];
-        const bool to_val = (s % stride) == stride - 1;
-        auto &rows = to_val ? val_rows : train_rows;
-        auto &segs = to_val ? val_segs : train_segs;
-        SegmentInfo out_seg;
-        out_seg.name = seg.name;
-        out_seg.begin = rows.size();
-        for (size_t i = seg.begin; i < seg.end; ++i)
-            rows.push_back(static_cast<uint32_t>(i));
-        out_seg.end = rows.size();
-        segs.push_back(out_seg);
-    }
-    APOLLO_REQUIRE(!val_rows.empty(),
-                   "too few segments for the requested split");
-
-    train = selectRows(train_rows);
-    train.segments = std::move(train_segs);
-    val = selectRows(val_rows);
-    val.segments = std::move(val_segs);
 }
 
 CountDataset

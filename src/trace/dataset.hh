@@ -90,15 +90,7 @@ struct Dataset
     /** Mean label. */
     double meanLabel() const;
 
-    /**
-     * Split whole benchmark segments into train/val: every
-     * round(1/val_fraction)-th segment goes to validation. Keeps
-     * segment metadata on both sides.
-     */
-    void splitBySegments(double val_fraction, Dataset &train,
-                         Dataset &val) const;
-
-    /** Row-subset copy (used by splits); segment metadata rebuilt. */
+    /** Row-subset copy; segment metadata rebuilt. */
     Dataset selectRows(const std::vector<uint32_t> &rows) const;
 };
 

@@ -141,8 +141,6 @@ struct ShardSetWriter::Impl
 
 ShardSetWriter::~ShardSetWriter() = default;
 ShardSetWriter::ShardSetWriter(ShardSetWriter &&) noexcept = default;
-ShardSetWriter &
-ShardSetWriter::operator=(ShardSetWriter &&) noexcept = default;
 
 StatusOr<ShardSetWriter>
 ShardSetWriter::open(const std::string &base, uint64_t rows,

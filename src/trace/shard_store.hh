@@ -72,7 +72,6 @@ class ShardSetWriter
 
     ~ShardSetWriter(); // out of line: Impl is incomplete here
     ShardSetWriter(ShardSetWriter &&) noexcept;
-    ShardSetWriter &operator=(ShardSetWriter &&) noexcept;
 
     /** Append the next @p block.cols() columns (block.rows() must
      *  equal rows; columns past cols are an error). */

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 
-#include "trace/vcd.hh"
 #include "util/thread_pool.hh"
 
 namespace apollo {
@@ -161,26 +160,6 @@ ProxyTraceWriter::finish()
     return Status::okStatus();
 }
 
-Status
-saveProxyTraceFile(const std::string &path, const BitColumnMatrix &Xq,
-                   size_t block_cycles)
-{
-    if (block_cycles == 0)
-        return Status::invalidArgument("block_cycles must be positive");
-    std::ofstream os(path, std::ios::binary);
-    if (!os.is_open())
-        return Status::ioError("cannot open ", path, " for writing");
-    ProxyTraceWriter writer(os, Xq.cols());
-    BitColumnMatrix block;
-    for (size_t first = 0; first < Xq.rows(); first += block_cycles) {
-        const size_t n = std::min(block_cycles, Xq.rows() - first);
-        Xq.sliceRowsInto(first, n, block);
-        if (Status s = writer.append(block); !s.ok())
-            return s;
-    }
-    return writer.finish();
-}
-
 // --- ProxyTraceReader ---
 
 Status
@@ -304,121 +283,6 @@ ProxyTraceFileReader::next(size_t max_rows, ProxyChunk &chunk)
     if (!is_.is_open())
         return Status::ioError("cannot open ", path_);
     return reader_.next(max_rows, chunk);
-}
-
-// --- VcdChunkReader ---
-
-Status
-VcdChunkReader::readHeader()
-{
-    std::string token;
-    while (is_ >> token) {
-        if (token == "$var") {
-            std::string type, width, id, name;
-            if (!(is_ >> type >> width >> id >> name))
-                return Status::ioError("truncated VCD $var");
-            if (idToIndex_.count(id))
-                return Status::parseError("duplicate VCD id ", id);
-            idToIndex_[id] = names_.size();
-            names_.push_back(name);
-            while (is_ >> token && token != "$end") {}
-        } else if (token == "$enddefinitions") {
-            while (is_ >> token && token != "$end") {}
-            break;
-        }
-    }
-    if (names_.empty())
-        return Status::parseError("VCD has no $var declarations");
-    value_.assign(names_.size(), 0);
-    headerDone_ = true;
-    return Status::okStatus();
-}
-
-StatusOr<size_t>
-VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
-{
-    if (max_rows == 0)
-        return Status::invalidArgument("chunk size must be positive");
-    if (!headerDone_) {
-        if (Status s = readHeader(); !s.ok())
-            return s;
-    }
-
-    // (chunk-row, column) pairs accumulated for this chunk.
-    std::vector<std::pair<uint32_t, uint32_t>> rows_set;
-    const uint64_t first = nextRow_;
-    size_t produced = 0;
-
-    std::string token;
-    while (produced < max_rows) {
-        // Cycles before the current timestamp are final: emit them
-        // (their flips were placed when the timestamp advanced) before
-        // reading further, so a chunk boundary inside a timestamp gap
-        // cannot separate flips from their row.
-        if (nextRow_ < curTs_) {
-            const uint64_t take =
-                std::min<uint64_t>(curTs_ - nextRow_, max_rows - produced);
-            nextRow_ += take;
-            produced += take;
-            continue;
-        }
-        if (atEof_)
-            break;
-        if (!(is_ >> token)) {
-            // End of stream: the trace length is the last timestamp
-            // seen; flips at that timestamp are dropped
-            // (VcdWriter::finish() emits a final "#N").
-            atEof_ = true;
-            pendingFlips_.clear();
-            continue;
-        }
-        if (token == "$dumpvars") {
-            inDumpvars_ = true;
-        } else if (token == "$end") {
-            inDumpvars_ = false;
-        } else if (token[0] == '#') {
-            uint64_t ts = 0;
-            try {
-                ts = std::stoull(token.substr(1));
-            } catch (...) {
-                return Status::parseError("bad VCD timestamp ", token);
-            }
-            if (ts < curTs_)
-                return Status::parseError("non-monotonic VCD timestamp ",
-                                          ts, " after ", curTs_);
-            if (ts > kMaxVcdCycles)
-                return Status::parseError("implausible VCD timestamp ",
-                                          ts, " (limit ",
-                                          kMaxVcdCycles, ")");
-            if (ts > curTs_) {
-                // Cycle curTs_ is complete; it is the next row emitted
-                // (nextRow_ == curTs_ here), which this chunk has room
-                // for.
-                for (uint32_t col : pendingFlips_)
-                    rows_set.emplace_back(static_cast<uint32_t>(produced),
-                                          col);
-                pendingFlips_.clear();
-                curTs_ = ts;
-            }
-        } else if (token[0] == '0' || token[0] == '1') {
-            const std::string id = token.substr(1);
-            const auto it = idToIndex_.find(id);
-            if (it == idToIndex_.end())
-                return Status::parseError("unknown VCD id ", id);
-            const uint8_t v = token[0] == '1' ? 1 : 0;
-            if (!inDumpvars_ && v != value_[it->second])
-                pendingFlips_.push_back(
-                    static_cast<uint32_t>(it->second));
-            value_[it->second] = v;
-        }
-        // Other tokens (comments, unknown directives) are skipped.
-    }
-
-    chunk.firstCycle = first;
-    chunk.bits.reset(produced, names_.size());
-    for (const auto &[row, col] : rows_set)
-        chunk.bits.setBit(row, col);
-    return produced;
 }
 
 } // namespace apollo

@@ -4,7 +4,7 @@
  *
  * A ProxyChunkReader produces consecutive row blocks ("chunks") of a
  * cycles x Q proxy-toggle matrix, so multi-million-cycle traces are
- * never resident in full. Four sources are provided:
+ * never resident in full. Three sources are provided:
  *
  *  - MatrixChunkReader      slices an in-memory proxy matrix (tests,
  *                           short traces, re-chunking),
@@ -15,9 +15,7 @@
  *                           trace,
  *  - ProxyTraceReader       incremental reader of the blocked binary
  *                           trace format written by ProxyTraceWriter
- *                           (magic "APTR"),
- *  - VcdChunkReader         incremental reader of VcdWriter-style VCD
- *                           dumps (cycle-at-a-time, bounded memory).
+ *                           (magic "APTR"), the one trace-input format.
  *
  * All readers report data problems as Status values (util/status.hh)
  * rather than throwing: a malformed trace is an expected condition for
@@ -35,7 +33,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -72,7 +69,7 @@ class ProxyChunkReader
     virtual size_t proxyCount() const = 0;
 
     /** Total trace length, or kUnknownCycles for open-ended streams. */
-    virtual uint64_t totalCycles() const { return kUnknownCycles; }
+    virtual uint64_t totalCycles() const = 0;
 
     /**
      * Produce the next chunk with 1..max_rows rows, or 0 rows at end
@@ -164,11 +161,6 @@ class ProxyTraceWriter
     Status writeHeader();
 };
 
-/** Convenience: stream an entire proxy matrix to @p path. */
-Status saveProxyTraceFile(const std::string &path,
-                          const BitColumnMatrix &Xq,
-                          size_t block_cycles = 1 << 14);
-
 /**
  * Incremental reader of the "APTR" format. Holds at most one file
  * block plus the chunk being served; re-slices blocks to honor the
@@ -217,45 +209,6 @@ class ProxyTraceFileReader : public ProxyChunkReader
     std::ifstream is_;
     std::string path_;
     ProxyTraceReader reader_;
-};
-
-/**
- * Incremental VCD ingestion (the VcdWriter subset of the grammar:
- * 1-bit wires, unique ids, monotonic timestamps) and the one VCD
- * grammar implementation: tryParseVcd() (trace/vcd.hh) drains this
- * reader. A toggle is recorded at cycle c when a signal's value flips
- * at timestamp c outside $dumpvars; the trace length is the last
- * timestamp seen, so flips at the final timestamp are dropped. A
- * duplicate id, a backwards timestamp or one past kMaxVcdCycles is a
- * ParseError. Memory is bounded by one chunk regardless of trace
- * length.
- */
-class VcdChunkReader : public ProxyChunkReader
-{
-  public:
-    /** @p is is kept by reference. */
-    explicit VcdChunkReader(std::istream &is) : is_(is) {}
-
-    /** Valid after the first next() call. */
-    size_t proxyCount() const override { return names_.size(); }
-    /** Signal names in column order (valid after the first next()). */
-    const std::vector<std::string> &names() const { return names_; }
-
-    StatusOr<size_t> next(size_t max_rows, ProxyChunk &chunk) override;
-
-  private:
-    std::istream &is_;
-    std::vector<std::string> names_;
-    std::map<std::string, size_t> idToIndex_;
-    std::vector<uint8_t> value_;
-    std::vector<uint32_t> pendingFlips_; ///< flips at cycle curTs_
-    uint64_t curTs_ = 0;    ///< timestamp whose flips are being read
-    uint64_t nextRow_ = 0;  ///< next cycle index to emit
-    bool headerDone_ = false;
-    bool inDumpvars_ = false;
-    bool atEof_ = false;
-
-    Status readHeader();
 };
 
 } // namespace apollo

@@ -1,11 +1,7 @@
 #include "trace/vcd.hh"
 
-#include <algorithm>
-#include <bit>
-#include <istream>
 #include <ostream>
 
-#include "trace/stream_reader.hh"
 #include "util/logging.hh"
 
 namespace apollo {
@@ -83,60 +79,6 @@ VcdWriter::finish()
 {
     os_ << "#" << cycle_ << "\n";
     os_.flush();
-}
-
-StatusOr<VcdTrace>
-tryParseVcd(std::istream &is)
-{
-    // Drain the streaming reader in chunks of about 2^22 bits, keeping
-    // only the set bits, so nothing larger than one chunk is allocated
-    // before the in-memory cap below has seen the row count.
-    constexpr uint64_t kChunkBits = uint64_t{1} << 22;
-    constexpr uint64_t kMaxBits = uint64_t{1} << 32;
-    VcdChunkReader reader(is);
-    ProxyChunk chunk;
-    std::vector<std::pair<uint64_t, uint32_t>> flips; // (cycle, column)
-    uint64_t rows = 0;
-    size_t max_rows = 64; // until the header has given the width
-    for (;;) {
-        StatusOr<size_t> got = reader.next(max_rows, chunk);
-        if (!got.ok())
-            return got.status();
-        if (*got == 0)
-            break;
-        const size_t cols = chunk.proxies();
-        max_rows = std::max<size_t>(64, kChunkBits / cols);
-        rows += *got;
-        // The streaming reader is the supported path for dumps beyond
-        // in-memory size.
-        if (rows * cols > kMaxBits)
-            return Status::parseError(
-                "VCD too large for in-memory parse (at least ", rows,
-                " cycles x ", cols, " signals); use VcdChunkReader");
-        for (size_t c = 0; c < cols; ++c) {
-            const uint64_t *words = chunk.bits.colWords(c);
-            for (size_t w = 0; w < chunk.bits.wordsPerCol(); ++w)
-                for (uint64_t bits = words[w]; bits; bits &= bits - 1)
-                    flips.emplace_back(chunk.firstCycle + 64 * w +
-                                           std::countr_zero(bits),
-                                       static_cast<uint32_t>(c));
-        }
-    }
-    VcdTrace trace;
-    trace.names = reader.names();
-    trace.toggles.reset(rows, trace.names.size());
-    for (const auto &[cycle, col] : flips)
-        trace.toggles.setBit(cycle, col);
-    return trace;
-}
-
-VcdTrace
-parseVcd(std::istream &is)
-{
-    StatusOr<VcdTrace> trace = tryParseVcd(is);
-    if (!trace.ok())
-        fatal(trace.status().toString());
-    return std::move(*trace);
 }
 
 } // namespace apollo

@@ -1,12 +1,13 @@
 /**
  * @file
- * Minimal VCD (Value Change Dump) writer and reader for toggle traces.
+ * Minimal VCD (Value Change Dump) writer for toggle traces.
  *
  * The design-time flow of Fig. 7(a) passes simulation traces between
  * tools as VCD/FSDB files; we provide the same interchange artifact for
- * a selected signal subset. Signals are dumped as 1-bit wires whose
- * value flips on every toggle, so toggles can be reconstructed exactly
- * by the reader.
+ * a selected signal subset, for waveform viewers. Signals are dumped
+ * as 1-bit wires whose value flips on every toggle, so every toggle is
+ * visible as a value change. Traces are read back only in the APTR
+ * format (trace/stream_reader.hh).
  */
 
 #ifndef APOLLO_TRACE_VCD_HH
@@ -19,7 +20,6 @@
 
 #include "rtl/netlist.hh"
 #include "util/bitvec.hh"
-#include "util/status.hh"
 
 namespace apollo {
 
@@ -59,35 +59,6 @@ class VcdWriter
     uint64_t cycle_ = 0;
     bool headerDone_ = false;
 };
-
-/**
- * Largest timestamp the VCD reader accepts. Timestamps come from
- * untrusted input and directly size the reconstructed trace (the
- * reader synthesizes one row per cycle), so an implausible declared
- * length is a ParseError, not an allocation attempt.
- */
-inline constexpr uint64_t kMaxVcdCycles = uint64_t{1} << 30;
-
-/** Parsed VCD contents: per-signal toggle columns. */
-struct VcdTrace
-{
-    std::vector<std::string> names;
-    /** cycles x signals toggle matrix reconstructed from value flips. */
-    BitColumnMatrix toggles;
-};
-
-/**
- * Parse a whole VCD produced by VcdWriter into memory, reporting
- * malformed input as a Status value. Drains trace/stream_reader.hh's
- * VcdChunkReader, so the grammar and its errors are the reader's; a
- * trace over 2^32 toggle bits (cycles x signals) is a ParseError,
- * raised before the result matrix is allocated. For bounded-memory
- * ingestion of long dumps use VcdChunkReader directly.
- */
-StatusOr<VcdTrace> tryParseVcd(std::istream &is);
-
-/** Throwing wrapper of tryParseVcd (throws FatalError). */
-VcdTrace parseVcd(std::istream &is);
 
 } // namespace apollo
 

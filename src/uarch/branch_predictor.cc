@@ -12,15 +12,6 @@ BranchPredictor::BranchPredictor(uint32_t table_bits)
     mask_ = (1U << table_bits) - 1;
 }
 
-void
-BranchPredictor::reset()
-{
-    std::fill(counters_.begin(), counters_.end(), 1);
-    history_ = 0;
-    lookups_ = 0;
-    mispredicts_ = 0;
-}
-
 uint32_t
 BranchPredictor::index(uint64_t pc) const
 {

@@ -25,8 +25,6 @@ class BranchPredictor
     /** Train on the actual outcome and update global history. */
     void update(uint64_t pc, bool taken);
 
-    void reset();
-
     uint64_t lookups() const { return lookups_; }
     uint64_t mispredicts() const { return mispredicts_; }
 

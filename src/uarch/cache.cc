@@ -17,17 +17,6 @@ CacheModel::CacheModel(const CacheParams &params, CacheModel *next)
 }
 
 void
-CacheModel::reset()
-{
-    std::fill(ways_.begin(), ways_.end(), Way{});
-    outstanding_.clear();
-    accesses_ = 0;
-    misses_ = 0;
-    if (next_)
-        next_->reset();
-}
-
-void
 CacheModel::expireMshrs(uint64_t now)
 {
     for (auto it = outstanding_.begin(); it != outstanding_.end();) {
@@ -36,13 +25,6 @@ CacheModel::expireMshrs(uint64_t now)
         else
             ++it;
     }
-}
-
-bool
-CacheModel::lineBusy(uint64_t addr, uint64_t now) const
-{
-    auto it = outstanding_.find(lineAddr(addr));
-    return it != outstanding_.end() && it->second > now;
 }
 
 uint32_t

@@ -51,14 +51,8 @@ class CacheModel
      */
     CacheAccessResult access(uint64_t addr, bool is_write, uint64_t now);
 
-    /** True if a fill for @p addr's line is outstanding at @p now. */
-    bool lineBusy(uint64_t addr, uint64_t now) const;
-
     /** Number of fills still outstanding at @p now. */
     uint32_t outstandingMisses(uint64_t now) const;
-
-    /** Invalidate all lines (used between benchmark runs). */
-    void reset();
 
     uint64_t accesses() const { return accesses_; }
     uint64_t misses() const { return misses_; }

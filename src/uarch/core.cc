@@ -267,15 +267,6 @@ struct CycleEvents
 
 TimingCore::TimingCore(const CoreParams &params) : params_(params) {}
 
-std::vector<ActivityFrame>
-TimingCore::collectFrames(const Program &prog, uint64_t max_cycles)
-{
-    std::vector<ActivityFrame> frames;
-    run(prog, max_cycles,
-        [&](const ActivityFrame &f) { frames.push_back(f); });
-    return frames;
-}
-
 CoreStats
 TimingCore::run(const Program &prog, uint64_t max_cycles,
                 const FrameSink &sink)

@@ -169,10 +169,6 @@ class TimingCore
     CoreStats run(const Program &prog, uint64_t max_cycles,
                   const FrameSink &sink, const ControlHook &control);
 
-    /** Convenience: simulate and collect all frames. */
-    std::vector<ActivityFrame> collectFrames(const Program &prog,
-                                             uint64_t max_cycles);
-
   private:
     CoreParams params_;
 };

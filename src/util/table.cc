@@ -75,16 +75,4 @@ TablePrinter::render(std::ostream &os) const
         emit_row(row);
 }
 
-void
-TablePrinter::renderCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c)
-            os << row[c] << (c + 1 < row.size() ? "," : "\n");
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace apollo

@@ -32,9 +32,6 @@ class TablePrinter
     /** Render the aligned table to @p os. */
     void render(std::ostream &os) const;
 
-    /** Render as CSV (no alignment padding). */
-    void renderCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -25,6 +25,34 @@ run_step(trace --model model.txt --design tiny --cycles 5000
 run_step(droop-lab --model model.txt --design tiny --cycles 600
          --out droop_lab.json)
 
+# An output that cannot be written must fail the command, not print
+# "wrote ..." and exit 0.
+function(expect_failure)
+    execute_process(COMMAND ${APOLLO_CLI} ${ARGN}
+                    WORKING_DIRECTORY ${WORK_DIR}
+                    RESULT_VARIABLE rc
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "apollo ${ARGN} succeeded but should fail: "
+                            "${out} ${err}")
+    endif()
+endfunction()
+
+set(unwritable ${WORK_DIR}/no_such_dir)
+expect_failure(trace --model model.txt --design tiny --cycles 500
+               --out ${unwritable}/t.csv)
+expect_failure(train --data train.apds --q 25 --out ${unwritable}/m.txt)
+expect_failure(opm --model model.txt --design tiny --bits 10
+               --emit ${unwritable}/o.hh)
+
+# The streamed CSV starts with the power sink's header.
+file(STRINGS ${WORK_DIR}/trace.csv trace_head LIMIT_COUNT 1)
+if(NOT trace_head STREQUAL "index,power")
+    message(FATAL_ERROR "trace.csv header is '${trace_head}', "
+                        "want 'index,power'")
+endif()
+
 # The serving path: generate a deterministic request stream, serve it
 # with per-session recording, then replay one record file — the
 # replayed power lines must be byte-identical to the live run's.

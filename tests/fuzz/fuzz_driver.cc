@@ -8,6 +8,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,12 @@ namespace {
 
 using Bytes = std::vector<uint8_t>;
 
-std::vector<Bytes>
+/**
+ * Every file under the corpus paths on the command line. A path that
+ * holds no file is an error (nullopt): a missing or emptied seed
+ * directory would otherwise leave only random bytes to mutate.
+ */
+std::optional<std::vector<Bytes>>
 loadCorpus(int argc, char **argv)
 {
     namespace fs = std::filesystem;
@@ -34,12 +40,18 @@ loadCorpus(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::error_code ec;
         const fs::path p(argv[i]);
+        const size_t before = files.size();
         if (fs::is_directory(p, ec)) {
             for (const auto &entry : fs::directory_iterator(p, ec))
                 if (entry.is_regular_file())
                     files.push_back(entry.path());
         } else if (fs::is_regular_file(p, ec)) {
             files.push_back(p);
+        }
+        if (files.size() == before) {
+            std::fprintf(stderr, "fuzz: corpus path %s holds no inputs\n",
+                         argv[i]);
+            return std::nullopt;
         }
     }
     std::sort(files.begin(), files.end()); // deterministic replay order
@@ -156,7 +168,11 @@ runOne(const Bytes &bytes)
 int
 driverMain(int argc, char **argv)
 {
-    const std::vector<Bytes> corpus = loadCorpus(argc, argv);
+    const std::optional<std::vector<Bytes>> loaded =
+        loadCorpus(argc, argv);
+    if (!loaded)
+        return 1;
+    const std::vector<Bytes> &corpus = *loaded;
     for (const Bytes &input : corpus)
         runOne(input);
     std::printf("fuzz: replayed %zu corpus inputs\n", corpus.size());

@@ -7,7 +7,7 @@
  *    libFuzzer when the toolchain has one (-DAPOLLO_LIBFUZZER=ON adds
  *    -fsanitize=fuzzer and drops the fallback main);
  *  - a fallback main() that replays every corpus file given on the
- *    command line and then runs a deterministic seeded random-mutation
+ *    command line (a path holding no file fails the run) and then runs a deterministic seeded random-mutation
  *    loop — byte flips, truncations, splices, boundary-value integer
  *    overwrites — against the corpus inputs.
  *

@@ -205,13 +205,14 @@ runWindowsEq9(uint64_t seed)
 {
     const InferCase c = makeInferCase(seed);
     const uint32_t tau = 1 + static_cast<uint32_t>(seed % 7);
+    // The case's proxy ids are 0..Q-1, so its proxy matrix is also a
+    // full matrix; proxies scattered through decoy columns must window
+    // exactly like that dense layout.
     const MultiCycleModel mc{c.model, tau};
-    // The full layout: proxies scattered through decoy columns must
-    // window exactly like the proxy layout.
     const ScatteredCase sc = scatterProxies(c, seed);
     const MultiCycleModel mc_full{sc.model, tau};
     const std::pair<const char *, StatusOr<std::vector<float>>> runs[] = {
-        {"proxies", mc.predictWindowsProxies(c.Xq, c.T, c.segments)},
+        {"proxies", mc.predictWindowsFull(c.Xq, c.T, c.segments)},
         {"full", mc_full.predictWindowsFull(sc.X, c.T, c.segments)},
     };
     const bool no_windows = fullWindows(c) == 0;
@@ -232,7 +233,7 @@ runWindowsEq9(uint64_t seed)
             continue;
         }
         if (!got.ok())
-            return fmt("shape=%s: %s: predictWindows failed: %s",
+            return fmt("shape=%s: %s: predictWindowsFull failed: %s",
                        c.shape.c_str(), layout,
                        got.status().toString().c_str());
         if (auto d = compareExact(*got, want,
@@ -507,7 +508,8 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
                     : std::vector<float>{};
     for (const uint32_t tau : {1u, c.T, c.T + 1}) {
         const MultiCycleModel mc{c.model, tau};
-        StatusOr<std::vector<float>> got = mc.predictWindowsProxies(
+        // Proxy ids are 0..Q-1: the proxy matrix is a full matrix.
+        StatusOr<std::vector<float>> got = mc.predictWindowsFull(
             c.Xq, c.T, std::span<const SegmentInfo>(&whole, 1));
         if (!have_window) {
             if (got.ok())
@@ -517,7 +519,7 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
             continue;
         }
         if (!got.ok())
-            return fmt("shape=%s: tau=%u: predictWindowsProxies "
+            return fmt("shape=%s: tau=%u: predictWindowsFull "
                        "failed: %s",
                        c.shape.c_str(), tau,
                        got.status().toString().c_str());
@@ -572,9 +574,9 @@ runStreamBitparallel(uint64_t seed)
 
 /**
  * Differential check of the documented quantization error bound: the
- * integer OPM simulation must track the toFloatModel() Eq. (9) float
- * inference within one scale unit (the >> log2(T) truncation) plus
- * float rounding of the weight sums.
+ * integer OPM simulation must track the Eq. (9) float inference of
+ * the dequantized model (ref::dequantize) within one scale unit (the
+ * >> log2(T) truncation) plus float rounding of the weight sums.
  */
 std::optional<std::string>
 runQuantizeRoundtrip(uint64_t seed)
@@ -589,22 +591,20 @@ runQuantizeRoundtrip(uint64_t seed)
     const QuantizedModel &qm = *quantized;
     const std::vector<float> opm = Inference(qm, c.T).predict(c.Xq);
 
-    const ApolloModel fm = qm.toFloatModel();
-    const MultiCycleModel mc{fm, 1};
-    const SegmentInfo whole{"trace", 0, c.Xq.rows()};
-    StatusOr<std::vector<float>> windows = mc.predictWindowsProxies(
-        c.Xq, c.T, std::span<const SegmentInfo>(&whole, 1));
-    if (!windows.ok()) {
-        // Fewer than T cycles: both paths must agree on emptiness.
-        if (opm.empty())
-            return std::nullopt;
-        return fmt("shape=%s: float path empty but OPM emitted %zu "
-                   "windows",
-                   c.shape.c_str(), opm.size());
-    }
-    if (windows->size() != opm.size())
+    // The dequantized float model through the windowed float stream
+    // (one segment; fewer than T cycles give no window on either path).
+    const ApolloModel fm = ref::dequantize(qm);
+    MatrixChunkReader reader(c.Xq);
+    VectorSink sink;
+    auto stats = Inference(fm).stream(reader, sink,
+                                      StreamConfig().withWindowT(c.T));
+    if (!stats.ok())
+        return fmt("shape=%s: float stream failed: %s", c.shape.c_str(),
+                   stats.status().toString().c_str());
+    const std::vector<float> &windows = sink.values();
+    if (windows.size() != opm.size())
         return fmt("shape=%s: window count opm=%zu float=%zu",
-                   c.shape.c_str(), opm.size(), windows->size());
+                   c.shape.c_str(), opm.size(), windows.size());
 
     double weight_mass = 0.0;
     for (int32_t qw : qm.qweights)
@@ -614,12 +614,12 @@ runQuantizeRoundtrip(uint64_t seed)
                        1e-9;
     for (size_t i = 0; i < opm.size(); ++i) {
         const double diff = std::abs(static_cast<double>(opm[i]) -
-                                     static_cast<double>((*windows)[i]));
+                                     static_cast<double>(windows[i]));
         if (diff > tol)
             return fmt("shape=%s: window %zu opm=%a float=%a diff=%.3e "
                        "> tol=%.3e (B=%u T=%u scale=%a)",
                        c.shape.c_str(), i, static_cast<double>(opm[i]),
-                       static_cast<double>((*windows)[i]), diff, tol,
+                       static_cast<double>(windows[i]), diff, tol,
                        c.bits, c.T, qm.scale);
     }
     return std::nullopt;

@@ -317,24 +317,24 @@ TEST(MultiCycle, MismatchedSegmentsReturnOutOfRange)
 
 TEST(MultiCycle, ProxyMatrixArityIsInvalidArgument)
 {
-    // Regression: a proxy-layout matrix with more columns than proxies
-    // used to be windowed over its first Q columns without complaint,
+    // Eq. (9) windows over a proxy-layout matrix come from the windowed
+    // stream. Regression: a matrix with more columns than proxies used
+    // to be windowed over its first Q columns without complaint,
     // although predict() and the stream reject the same input.
     MultiCycleModel model;
     model.base.intercept = 0.5;
     model.base.proxyIds = {0, 1};
     model.base.weights = {0.25f, 0.125f};
-    const std::vector<SegmentInfo> segs = {{"all", 0, 8}};
 
     for (size_t cols : {1u, 3u}) {
         BitColumnMatrix Xq;
         Xq.reset(8, cols);
-        const auto pred = model.predictWindowsProxies(Xq, 4, segs);
-        ASSERT_FALSE(pred.ok()) << "cols=" << cols;
-        EXPECT_EQ(pred.status().code(), StatusCode::InvalidArgument);
-        // The facade stays fatal, like Inference::predict().
-        EXPECT_THROW(Inference(model.base).predictWindows(Xq, 4),
-                     FatalError);
+        MatrixChunkReader reader(Xq);
+        VectorSink sink;
+        const auto stats = Inference(model.base).stream(
+            reader, sink, StreamConfig().withWindowT(4));
+        ASSERT_FALSE(stats.ok()) << "cols=" << cols;
+        EXPECT_EQ(stats.status().code(), StatusCode::InvalidArgument);
     }
 }
 

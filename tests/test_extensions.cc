@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the extension modules: dataset binary serialization, the
- * higher-abstraction power model (§9 future work), and affine model
- * recalibration (§6 re-training hook).
+ * Tests for the extension modules: dataset binary serialization and
+ * the higher-abstraction power model (§9 future work).
  */
 
 #include <gtest/gtest.h>
@@ -138,54 +137,6 @@ TEST(AbstractModel, TracksPowerWithoutRtlSimulation)
     // Inference must not require netlist-sized state: the model is a
     // fixed-size vector.
     EXPECT_EQ(model.weights.size(), AbstractPowerModel::featureCount);
-}
-
-TEST(Calibration, RecoversAffineDistortion)
-{
-    std::vector<float> truth;
-    std::vector<float> pred;
-    Xoshiro256StarStar rng(3);
-    for (int i = 0; i < 500; ++i) {
-        const float t = static_cast<float>(1.0 + rng.nextDouble());
-        truth.push_back(t);
-        pred.push_back(0.5f * t - 0.2f); // distorted estimate
-    }
-    const Calibration cal = fitCalibration(truth, pred);
-    EXPECT_NEAR(cal.scale, 2.0, 1e-3);
-    EXPECT_NEAR(cal.offset, 0.4, 1e-3);
-}
-
-TEST(Calibration, AppliedModelMatchesCalibratedPredictions)
-{
-    const Dataset train = makeDataset(10, 77);
-    ApolloTrainConfig cfg;
-    cfg.selection.targetQ = 20;
-    const ApolloModel model = trainApollo(train, cfg, "tiny").model;
-
-    // Pretend silicon reads 1.07x the sign-off power plus an offset.
-    const auto pred = model.predictFull(train.X);
-    std::vector<float> silicon(pred.size());
-    for (size_t i = 0; i < pred.size(); ++i)
-        silicon[i] = 1.07f * train.y[i] + 0.05f;
-
-    const Calibration cal = fitCalibration(silicon, pred);
-    const ApolloModel recal = applyCalibration(model, cal);
-    const auto recal_pred = recal.predictFull(train.X);
-    for (size_t i = 0; i < pred.size(); i += 97) {
-        EXPECT_NEAR(recal_pred[i],
-                    cal.scale * pred[i] + cal.offset,
-                    1e-3 + 1e-3 * std::abs(recal_pred[i]));
-    }
-    // Calibrated model fits the "silicon" readings better.
-    EXPECT_LT(nrmse(silicon, recal_pred), nrmse(silicon, pred));
-}
-
-TEST(Calibration, IdentityWhenAlreadyAligned)
-{
-    std::vector<float> truth = {1.f, 2.f, 3.f, 4.f, 5.f};
-    const Calibration cal = fitCalibration(truth, truth);
-    EXPECT_NEAR(cal.scale, 1.0, 1e-9);
-    EXPECT_NEAR(cal.offset, 0.0, 1e-9);
 }
 
 TEST(CounterModel, TraceShapeAndEpochAveraging)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "apollo.hh"
 
@@ -184,6 +185,31 @@ TEST(Flows, EmulatorTracksCommercialFlow)
     FlowReport emulator = flows.runEmulatorFlow(prog, 3000, fx.model);
     ASSERT_EQ(commercial.power.size(), emulator.power.size());
     EXPECT_GT(r2Score(commercial.power, emulator.power), 0.85);
+}
+
+TEST(Flows, StreamedCsvRowsMatchMaterializedPower)
+{
+    // `apollo trace --out` streams the flow into a CsvPowerSink. After
+    // its "index,power" header, the rows must be byte-identical to
+    // printing the materialized per-cycle power as "i,power[i]".
+    const auto &fx = flowFixture();
+    DesignTimeFlows flows(fx.netlist);
+    const Program prog = makeLongWorkload("csv", 3000, 11);
+
+    std::ostringstream streamed;
+    CsvPowerSink sink(streamed);
+    const FlowReport rep = flows.runEmulatorFlowStreaming(
+        prog, 2000, fx.model, sink, StreamConfig().withChunkCycles(300));
+    EXPECT_FALSE(rep.cancelled);
+
+    const std::vector<float> power =
+        flows.runEmulatorFlow(prog, 2000, fx.model).power;
+    ASSERT_EQ(power.size(), rep.cycles);
+    std::ostringstream expect;
+    expect << "index,power\n";
+    for (size_t i = 0; i < power.size(); ++i)
+        expect << i << ',' << power[i] << '\n';
+    EXPECT_EQ(streamed.str(), expect.str());
 }
 
 TEST(Flows, LongWorkloadHasPhases)

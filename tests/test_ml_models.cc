@@ -130,11 +130,16 @@ TEST(Pca, ProjectRowMatchesProjectAll)
         for (size_t c = 0; c < X.cols(); ++c)
             if (X.get(i, c))
                 active.push_back(static_cast<uint32_t>(c));
-        std::vector<float> z_row(5);
-        pca.projectRow(active, z_row.data());
-        for (size_t k = 0; k < 5; ++k)
-            EXPECT_NEAR(z_row[k], z_all[i * 5 + k], 1e-3)
+        // z = V^T (x - mean), one row, straight from the definition.
+        for (size_t k = 0; k < 5; ++k) {
+            double z = 0.0;
+            for (size_t c = 0; c < X.cols(); ++c)
+                z -= static_cast<double>(pca.meanVec[c]) * pca.v[c * 5 + k];
+            for (uint32_t c : active)
+                z += pca.v[c * 5 + k];
+            EXPECT_NEAR(z, z_all[i * 5 + k], 1e-3)
                 << "row " << i << " comp " << k;
+        }
     }
 }
 

@@ -10,14 +10,22 @@
 
 #include <cmath>
 
+#include "droop/droop.hh"
 #include "ml/coordinate_descent.hh"
 #include "ml/metrics.hh"
 #include "ml/penalty.hh"
 #include "ml/solver_path.hh"
+#include "ref/reference_solver.hh"
 #include "util/rng.hh"
 
 namespace apollo {
 namespace {
+
+// The penalty value/derivative closed forms are the oracles the
+// coordinate update is checked against; they live with the reference
+// solver.
+using ref::penaltyDerivativeMagnitude;
+using ref::penaltyValue;
 
 TEST(Penalty, SoftThreshold)
 {
@@ -317,11 +325,18 @@ TEST(Metrics, NrmseMatchesHandComputation)
 
 TEST(Metrics, PearsonSignsAndScale)
 {
-    std::vector<float> a = {1, 2, 3, 4};
-    std::vector<float> b = {2, 4, 6, 8};
-    std::vector<float> c = {8, 6, 4, 2};
-    EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-    EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
+    // The Fig. 17 dI/dt Pearson coefficient (droop/droop.hh): a scaled
+    // estimate correlates +1 with the truth, a mirrored one -1.
+    const std::vector<float> truth = {1, 3, 2, 5, 4, 6, 2, 7};
+    std::vector<float> scaled;
+    std::vector<float> mirrored;
+    for (float p : truth) {
+        scaled.push_back(2.0f * p);
+        mirrored.push_back(10.0f - p);
+    }
+    EXPECT_NEAR(analyzeDidt(truth, scaled, 0.75).pearsonDeltaI, 1.0, 1e-9);
+    EXPECT_NEAR(analyzeDidt(truth, mirrored, 0.75).pearsonDeltaI, -1.0,
+                1e-9);
 }
 
 TEST(Metrics, VifDetectsCorrelatedColumns)

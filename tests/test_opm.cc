@@ -18,6 +18,7 @@
 #include "opm/hls_emitter.hh"
 #include "opm/opm_hardware.hh"
 #include "opm/opm_simulator.hh"
+#include "ref/reference_kernels.hh"
 #include "rtl/design_builder.hh"
 #include "trace/toggle_trace.hh"
 
@@ -149,7 +150,7 @@ TEST(OpmSimulator, MatchesQuantizedFloatModelPerCycle)
     const QuantizedModel qm = quantizeModel(fx.model, 12);
     // T = 1: per-cycle output
     const std::vector<float> hw = Inference(qm, 1).predict(fx.testProxies);
-    const ApolloModel dequant = qm.toFloatModel();
+    const ApolloModel dequant = ref::dequantize(qm);
     const std::vector<float> sw =
         dequant.predictProxies(fx.testProxies);
     ASSERT_EQ(hw.size(), sw.size());

@@ -20,6 +20,7 @@
 #include "apollo.hh"
 
 #include "activity/toggle_columns.hh"
+#include "ref/reference_ga.hh"
 #include "ref/reference_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
@@ -87,6 +88,25 @@ allSignals(const Netlist &netlist)
 // multi-word length with a partial tail.
 constexpr size_t kEdgeLengths[] = {0, 1, 63, 64, 65, 200};
 
+/**
+ * The packed toggle matrix of @p frames over @p ids, built one column
+ * at a time with ToggleColumnGenerator::fillColumn.
+ */
+BitColumnMatrix
+packedToggles(const ActivityEngine &engine,
+              const std::vector<ActivityFrame> &frames,
+              const std::vector<uint32_t> &ids)
+{
+    ToggleColumnGenerator gen(engine);
+    gen.bind(frames);
+    BitColumnMatrix packed(frames.size(), ids.size());
+    if (frames.empty())
+        return packed;
+    for (size_t k = 0; k < ids.size(); ++k)
+        gen.fillColumn(ids[k], packed.colWordsMutable(k));
+    return packed;
+}
+
 TEST(StreamInferPackedColumns, FillMatrixMatchesPerCycleToggles)
 {
     const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
@@ -96,10 +116,7 @@ TEST(StreamInferPackedColumns, FillMatrixMatchesPerCycleToggles)
     for (const size_t n : kEdgeLengths) {
         const std::vector<ActivityFrame> frames =
             randomFrames(n, 0x9a0 + n);
-        ToggleColumnGenerator gen(engine);
-        gen.bind(frames);
-        BitColumnMatrix packed;
-        gen.fillMatrix(ids, packed);
+        const BitColumnMatrix packed = packedToggles(engine, frames, ids);
         ASSERT_EQ(packed.rows(), n);
         ASSERT_EQ(packed.cols(), ids.size());
         for (size_t k = 0; k < ids.size(); ++k)
@@ -112,21 +129,22 @@ TEST(StreamInferPackedColumns, FillMatrixMatchesPerCycleToggles)
 
 TEST(StreamInferPackedColumns, FillMatrixMatchesNaiveGenerator)
 {
+    // The per-cycle oracle is ref::toggleColumn; packing its bytes must
+    // give the generator's words exactly, tail bits included.
     const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
     const ActivityEngine engine(netlist);
     const std::vector<uint32_t> ids = allSignals(netlist);
     const std::vector<ActivityFrame> frames = randomFrames(321, 0xb5);
 
-    ToggleColumnGenerator fast(engine);
-    fast.bind(frames);
-    BitColumnMatrix packed;
-    fast.fillMatrix(ids, packed);
-
-    ToggleColumnGenerator naive(engine);
-    naive.naive = true;
-    naive.bind(frames);
-    BitColumnMatrix expect;
-    naive.fillMatrix(ids, expect);
+    const BitColumnMatrix packed = packedToggles(engine, frames, ids);
+    BitColumnMatrix expect(frames.size(), ids.size());
+    for (size_t k = 0; k < ids.size(); ++k) {
+        const std::vector<uint8_t> col =
+            ref::toggleColumn(engine, frames, ids[k]);
+        for (size_t i = 0; i < col.size(); ++i)
+            if (col[i])
+                expect.setBit(i, k);
+    }
 
     ASSERT_EQ(packed.rows(), expect.rows());
     ASSERT_EQ(packed.wordsPerCol(), expect.wordsPerCol());
@@ -143,19 +161,17 @@ TEST(StreamInferPackedColumns, TailBitsAreZeroAtWordBoundaries)
     const std::vector<uint32_t> ids = allSignals(netlist);
 
     for (const size_t n : kEdgeLengths) {
+        if (n == 0 || (n & 63) == 0)
+            continue;
         const std::vector<ActivityFrame> frames =
             randomFrames(n, 0xc70 + n);
         ToggleColumnGenerator gen(engine);
         gen.bind(frames);
-        BitColumnMatrix packed;
-        gen.fillMatrix(ids, packed);
-        ASSERT_EQ(packed.wordsPerCol(), (n + 63) / 64) << "n=" << n;
-        if (n == 0 || (n & 63) == 0)
-            continue;
-        for (size_t k = 0; k < ids.size(); ++k) {
-            const uint64_t tail =
-                packed.colWords(k)[packed.wordsPerCol() - 1] >> (n & 63);
-            ASSERT_EQ(tail, 0u) << "n=" << n << " sig=" << ids[k];
+        std::vector<uint64_t> col(gen.wordCount(), ~uint64_t{0});
+        for (const uint32_t id : ids) {
+            gen.fillColumn(id, col.data());
+            ASSERT_EQ(col.back() >> (n & 63), 0u)
+                << "n=" << n << " sig=" << id;
         }
     }
 }

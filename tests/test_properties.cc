@@ -14,6 +14,7 @@
 #include "gen/ga_generator.hh"
 #include "ml/metrics.hh"
 #include "opm/opm_simulator.hh"
+#include "ref/reference_kernels.hh"
 #include "rtl/design_builder.hh"
 #include "trace/toggle_trace.hh"
 #include "uarch/cache.hh"
@@ -133,7 +134,7 @@ TEST_P(QuantizationProperty, BitTrueOpmMatchesDequantizedModel)
     const auto &fx = quantFixture();
     const QuantizedModel qm = quantizeModel(fx.model, bits);
     const auto hw = Inference(qm, 1).predict(fx.proxies);
-    const auto sw = qm.toFloatModel().predictProxies(fx.proxies);
+    const auto sw = ref::dequantize(qm).predictProxies(fx.proxies);
     ASSERT_EQ(hw.size(), sw.size());
     for (size_t i = 0; i < hw.size(); i += 7)
         ASSERT_NEAR(hw[i], sw[i], 1e-3 + 1e-4 * std::abs(sw[i]));
@@ -329,7 +330,7 @@ TEST(OpmSigned, NegativeWeightsRoundTripThroughTheSimulator)
             if (rng.nextDouble() < 0.5)
                 bits.setBit(i, q);
     const auto hw = Inference(qm, 1).predict(bits);
-    const auto sw = qm.toFloatModel().predictProxies(bits);
+    const auto sw = ref::dequantize(qm).predictProxies(bits);
     for (size_t i = 0; i < hw.size(); ++i)
         EXPECT_NEAR(hw[i], sw[i], 1e-4);
 }

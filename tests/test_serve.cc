@@ -94,8 +94,7 @@ TEST(ServeRegistry, RegistersAndLists)
 {
     ModelRegistry reg;
     ASSERT_TRUE(reg.addFloat("f32", randomModel(12, 0x11)).ok());
-    ASSERT_TRUE(reg.addQuantized("opm", quantizeModel(randomModel(12, 0x22), 8), 32)
-                    .ok());
+    ASSERT_TRUE(reg.addQuantizedVariant("opm", "f32", 8, 32).ok());
     StatusOr<ModelInfo> variant =
         reg.addQuantizedVariant("f32_q10", "f32", 10, 64);
     ASSERT_TRUE(variant.ok()) << variant.status().toString();
@@ -135,7 +134,7 @@ TEST(ServeRegistry, RejectsBadRegistrations)
     // Empty model.
     EXPECT_EQ(reg.addFloat("e", ApolloModel{}).code(),
               StatusCode::InvalidArgument);
-    EXPECT_EQ(reg.size(), 1u);
+    EXPECT_EQ(reg.list().size(), 1u);
     EXPECT_EQ(reg.find("nope"), nullptr);
 }
 
@@ -215,7 +214,7 @@ TEST(ServeDeterminism, ConcurrentSessionsMatchSequentialRuns)
 
     auto reg = std::make_shared<ModelRegistry>();
     ASSERT_TRUE(reg->addFloat("f", fmodel).ok());
-    ASSERT_TRUE(reg->addQuantized("opm", qmodel, 32).ok());
+    ASSERT_TRUE(reg->addQuantizedVariant("opm", "f", 9, 32).ok());
 
     const Inference fengine(fmodel);
     const Inference qengine(qmodel, 32);
@@ -277,10 +276,12 @@ TEST(ServeDeterminism, BitParallelSessionsMatchScalarBaseline)
     const QuantizedModel qmodel = quantizeModel(fmodel, 10);
 
     auto reg = std::make_shared<ModelRegistry>();
+    ASSERT_TRUE(reg->addFloat("f", fmodel).ok());
     const uint32_t windows[] = {16, 32, 2};
     for (const uint32_t T : windows)
-        ASSERT_TRUE(
-            reg->addQuantized("opm" + std::to_string(T), qmodel, T).ok());
+        ASSERT_TRUE(reg->addQuantizedVariant("opm" + std::to_string(T), "f",
+                                             10, T)
+                        .ok());
 
     std::vector<SessionPlan> plans;
     for (size_t i = 0; i < 9; ++i) {
@@ -312,9 +313,7 @@ TEST(ServeSessions, ValidatesCreationAndHandles)
 {
     auto reg = std::make_shared<ModelRegistry>();
     ASSERT_TRUE(reg->addFloat("f", randomModel(8, 0x51)).ok());
-    ASSERT_TRUE(
-        reg->addQuantized("opm", quantizeModel(randomModel(8, 0x52), 8), 32)
-            .ok());
+    ASSERT_TRUE(reg->addQuantizedVariant("opm", "f", 8, 32).ok());
     SessionManager manager(
         std::static_pointer_cast<const ModelRegistry>(reg),
         ServeConfig().withThreads(1).withMaxSessions(2));
@@ -897,7 +896,7 @@ TEST(ServeLoop, DrivesSessionsAndRecordsReplayableFiles)
     const QuantizedModel qmodel = quantizeModel(fmodel, 8);
     auto reg = std::make_shared<ModelRegistry>();
     ASSERT_TRUE(reg->addFloat("f", fmodel).ok());
-    ASSERT_TRUE(reg->addQuantized("opm", qmodel, 32).ok());
+    ASSERT_TRUE(reg->addQuantizedVariant("opm", "f", 8, 32).ok());
 
     const BitColumnMatrix trace_a = randomMatrix(500, q, 0xC2);
     const BitColumnMatrix trace_b = randomMatrix(450, q, 0xC3);

@@ -173,6 +173,9 @@ cmdTrain(const Args &args)
     const Dataset train =
         loadDatasetFile(args.get("data", "train.apds"));
     const std::string out = args.get("out", "model.txt");
+    std::ofstream os(out);
+    if (!os.is_open())
+        fatal("cannot open ", out, " for writing");
 
     ApolloTrainConfig cfg;
     cfg.selection.targetQ = static_cast<size_t>(args.getInt("q", 159));
@@ -183,8 +186,10 @@ cmdTrain(const Args &args)
 
     const ApolloTrainResult res =
         trainApollo(train, cfg, args.get("design-name", "design"));
-    std::ofstream os(out);
     res.model.save(os);
+    os.close();
+    if (!os)
+        fatal("cannot write model to ", out);
     std::printf("trained Q=%zu model in %.1fs selection + %.1fs "
                 "relaxation (lambda=%.5g); wrote %s\n",
                 res.model.proxyCount(), res.selectSeconds,
@@ -249,6 +254,9 @@ cmdOpm(const Args &args)
     if (!emit.empty()) {
         std::ofstream os(emit);
         os << emitOpmHlsSource(qm, window);
+        os.close();
+        if (!os)
+            fatal("cannot write OPM source to ", emit);
         std::printf("wrote HLS-style OPM source to %s\n", emit.c_str());
     }
     return 0;
@@ -265,25 +273,39 @@ cmdTrace(const Args &args)
     const auto cycles =
         static_cast<uint64_t>(args.getInt("cycles", 100000));
 
+    // Samples stream straight to the CSV (or are dropped without
+    // --out); a write failure surfaces as the sink's error.
+    const std::string out = args.get("out");
+    std::ofstream os;
+    std::unique_ptr<PowerSink> sink;
+    if (out.empty()) {
+        sink = std::make_unique<CallbackSink>(
+            [](uint64_t, std::span<const float>) {
+                return Status::okStatus();
+            });
+    } else {
+        os.open(out);
+        if (!os.is_open())
+            fatal("cannot open ", out, " for writing");
+        sink = std::make_unique<CsvPowerSink>(os);
+    }
+
     DesignTimeFlows flows(netlist);
     const Program workload = makeLongWorkload(
         "workload", cycles * 2,
         static_cast<uint64_t>(args.getInt("seed", 9)));
     const FlowReport rep =
-        flows.runEmulatorFlow(workload, cycles, model);
+        flows.runEmulatorFlowStreaming(workload, cycles, model, *sink);
     std::printf("emulator-assisted trace: %llu cycles in %.2fs "
                 "(%.0f kcycles/s), %.2f MB proxy trace\n",
                 static_cast<unsigned long long>(rep.cycles),
                 rep.totalSeconds(),
                 rep.cycles / rep.totalSeconds() / 1e3,
                 rep.traceBytes / 1e6);
-
-    const std::string out = args.get("out");
     if (!out.empty()) {
-        std::ofstream os(out);
-        os << "cycle,power\n";
-        for (size_t i = 0; i < rep.power.size(); ++i)
-            os << i << "," << rep.power[i] << "\n";
+        os.close();
+        if (!os)
+            fatal("cannot write per-cycle power to ", out);
         std::printf("wrote per-cycle power to %s\n", out.c_str());
     }
     return 0;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Regenerates the checked-in fuzz seed corpus (tests/corpus/): small
- * valid APTR / VCD / APDS artifacts plus systematically malformed
+ * Regenerates the checked-in fuzz seed corpus (tests/corpus/aptr and
+ * tests/corpus/dataset): small valid APTR / APDS artifacts plus
+ * systematically malformed
  * variants (truncations at interesting offsets, bad magics, absurd
  * declared sizes). Deterministic — running it twice produces identical
  * bytes, so the corpus only changes when the formats do.
@@ -102,32 +103,6 @@ makeAptrCorpus(const fs::path &dir)
 }
 
 void
-makeVcdCorpus(const fs::path &dir)
-{
-    const std::string header = "$timescale 1ns $end\n"
-                               "$scope module top $end\n"
-                               "$var wire 1 ! sig_a $end\n"
-                               "$var wire 1 \" sig_b $end\n"
-                               "$upscope $end\n"
-                               "$enddefinitions $end\n"
-                               "$dumpvars\n0!\n0\"\n$end\n";
-    const std::string body = "#0\n1!\n#1\n0!\n1\"\n#2\n1!\n#5\n0\"\n#6\n";
-    writeFile(dir / "valid_small.vcd", header + body);
-    writeFile(dir / "empty.vcd", "");
-    writeFile(dir / "no_vars.vcd", "$enddefinitions $end\n#0\n#1\n");
-    writeFile(dir / "unknown_id.vcd", header + "#0\n1%\n#2\n");
-    writeFile(dir / "backwards_ts.vcd", header + "#4\n1!\n#2\n0!\n#6\n");
-    writeFile(dir / "huge_ts.vcd",
-              header + "#0\n1!\n#18446744073709551615\n0!\n");
-    writeFile(dir / "big_gap_ts.vcd",
-              header + "#0\n1!\n#4294968000\n0!\n#4294969000\n");
-    writeFile(dir / "trunc_mid_token.vcd",
-              header + "#0\n1!\n#1\n1");
-    writeFile(dir / "bad_ts.vcd", header + "#zzz\n1!\n");
-    writeFile(dir / "header_only.vcd", header);
-}
-
-void
 makeDatasetCorpus(const fs::path &dir)
 {
     Xoshiro256StarStar rng(hashMix(0xa9d5));
@@ -172,10 +147,9 @@ main(int argc, char **argv)
         return 2;
     }
     const fs::path root(argv[1]);
-    for (const char *sub : {"aptr", "vcd", "dataset"})
+    for (const char *sub : {"aptr", "dataset"})
         fs::create_directories(root / sub);
     makeAptrCorpus(root / "aptr");
-    makeVcdCorpus(root / "vcd");
     makeDatasetCorpus(root / "dataset");
     return 0;
 }

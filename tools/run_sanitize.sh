@@ -41,7 +41,7 @@ fi
 cmake -B "$BUILD_DIR" -S . "${san_flags[@]}" "${obs_flags[@]}"
 cmake --build "$BUILD_DIR" -j --target apollo_tests \
     --target apollo_oracle_tests \
-    --target fuzz_aptr --target fuzz_vcd --target fuzz_dataset \
+    --target fuzz_aptr --target fuzz_dataset \
     --target fuzz_packed
 
 if [[ $# -gt 0 ]]; then
@@ -60,7 +60,7 @@ else
     # every production path vs its reference under ASan+UBSan) and the
     # corpus-replay fuzz drivers (label "fuzz").
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter|Dataset|CounterModel|ApolloModel|LassoBaseline|SimmaniBaseline'
+        'SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|LoaderStatus|PublicApi|EmulatorFlow|OracleEdges|OracleRegression|AptrStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter|Dataset|CounterModel|ApolloModel|LassoBaseline|SimmaniBaseline'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
 fi
 echo "sanitizer run clean (${SANITIZER})"

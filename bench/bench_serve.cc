@@ -16,6 +16,11 @@
  *     adapts to the host (min(3, max(0.5, 0.45 * hw_threads))) and
  *     the JSON records "hardware_threads" so readers can judge the
  *     measured ratio.
+ *  4. Wire decode: the dispatched serve::decodeBitsHex must decode a
+ *     2048 x 159 chunk payload (the perfbench serve_fleet shape) to
+ *     the right words at least 2x faster than ref::decodeBitsHex, the
+ *     per-nibble loop it replaced, timed in the same run. The JSON
+ *     records its GB/s of hex and the dispatched kernel.
  *
  * Results go to BENCH_serve.json.
  *
@@ -35,6 +40,8 @@
 
 #include "apollo.hh"
 #include "common.hh"
+#include "ref/reference_wire.hh"
+#include "util/hex_kernels.hh"
 
 using namespace apollo;
 
@@ -251,6 +258,25 @@ serveText(const std::shared_ptr<const serve::ModelRegistry> &registry,
     return out.str();
 }
 
+/**
+ * Best-of-7 seconds per decode of @p hex into @p rows x @p cols, each
+ * sample timing @p per_sample back-to-back decodes.
+ */
+template <typename Decode>
+double
+timeDecode(Decode decode, const std::string &hex, size_t rows,
+           size_t cols, int per_sample)
+{
+    double best = 1e30;
+    for (int sample = 0; sample < 7; ++sample) {
+        const double t0 = nowSeconds();
+        for (int i = 0; i < per_sample; ++i)
+            (void)decode(hex, rows, cols);
+        best = std::min(best, (nowSeconds() - t0) / per_sample);
+    }
+    return best;
+}
+
 } // namespace
 
 int
@@ -409,6 +435,38 @@ main(int argc, char **argv)
     std::printf("  record->replay: %zu power events, identical=%s\n",
                 live_power.size(), replay_identical ? "yes" : "NO");
 
+    // ---- Wire decode: dispatched hex kernel vs the per-nibble oracle
+    //      on one serve_fleet-sized chunk payload.
+    const size_t payload_rows = 2048;
+    const size_t payload_cols = 159;
+    BitColumnMatrix payload_bits;
+    fillChunkWords(payload_bits, 0, payload_rows, payload_cols, seed);
+    const std::string payload = serve::encodeBitsHex(payload_bits);
+    const auto dispatched = [](std::string_view hex, size_t rows,
+                               size_t cols) {
+        return serve::decodeBitsHex(hex, rows, cols);
+    };
+    const StatusOr<BitColumnMatrix> fast =
+        dispatched(payload, payload_rows, payload_cols);
+    const StatusOr<BitColumnMatrix> slow =
+        ref::decodeBitsHex(payload, payload_rows, payload_cols);
+    const bool decode_correct = fast.ok() && *fast == payload_bits &&
+                                slow.ok() && *slow == payload_bits;
+    const double decode_s = timeDecode(dispatched, payload, payload_rows,
+                                       payload_cols, 64);
+    const double oracle_s = timeDecode(ref::decodeBitsHex, payload,
+                                       payload_rows, payload_cols, 8);
+    const double decode_speedup = oracle_s / decode_s;
+    const double decode_gbps =
+        static_cast<double>(payload.size()) / decode_s / 1e9;
+    const char *decode_kernel =
+        hexkernels::implName(hexkernels::bestImpl());
+    std::printf("  wire decode (%s): %.1f us, %.2f GB/s; per-nibble "
+                "oracle %.1f us (%.1fx)  correct=%s\n",
+                decode_kernel, decode_s * 1e6, decode_gbps,
+                oracle_s * 1e6, decode_speedup,
+                decode_correct ? "yes" : "NO");
+
     // ---- JSON.
     std::ofstream os(out);
     os << "{\n";
@@ -444,6 +502,10 @@ main(int argc, char **argv)
        << (all_identical ? "true" : "false") << ",\n";
     os << "  \"record_replay_identical\": "
        << (replay_identical ? "true" : "false") << ",\n";
+    os << "  \"wire_decode_kernel\": \"" << decode_kernel << "\",\n";
+    os << "  \"wire_decode_gbps\": " << decode_gbps << ",\n";
+    os << "  \"wire_decode_speedup_vs_ref\": " << decode_speedup
+       << ",\n";
     os << "  \"obs\": " << bench::obsDeltaJson(obs_before) << "\n";
     os << "}\n";
     std::printf("wrote %s\n", out.c_str());
@@ -458,6 +520,18 @@ main(int argc, char **argv)
     if (!replay_identical) {
         std::fprintf(stderr, "FAIL: replaying the recorded session "
                              "diverged from the live run\n");
+        ok = false;
+    }
+    if (!decode_correct) {
+        std::fprintf(stderr, "FAIL: a wire decode returned wrong "
+                             "words\n");
+        ok = false;
+    }
+    if (decode_speedup < 2.0) {
+        std::fprintf(stderr,
+                     "FAIL: dispatched wire decode %.2fx faster than the "
+                     "per-nibble oracle, below the 2x floor\n",
+                     decode_speedup);
         ok = false;
     }
     if (hw < 8)

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 namespace apollo::serve {
@@ -15,17 +16,34 @@ constexpr uint64_t kMaxChunkCycles = uint64_t{1} << 32;
 constexpr uint64_t kMaxChunkProxies = uint64_t{1} << 20;
 constexpr size_t kMaxSessionName = 64;
 
+/**
+ * A scanned JSON string: a view into the request line, or into its
+ * unescaped copy when the string held escapes (the rare slow path).
+ */
+struct Text
+{
+    std::string_view raw;
+    std::string unescaped;
+    bool escaped = false;
+
+    std::string_view
+    view() const
+    {
+        return escaped ? std::string_view(unescaped) : raw;
+    }
+};
+
 /** One scanned "key": value pair of a flat request object. */
 struct Field
 {
-    std::string key;
+    Text key;
     enum Kind
     {
         Str,
         UInt,
         Bool
     } kind = Str;
-    std::string str;
+    Text str;
     uint64_t num = 0;
     bool flag = false;
 };
@@ -39,11 +57,25 @@ skipSpace(std::string_view s, size_t &i)
 }
 
 Status
-scanString(std::string_view s, size_t &i, std::string &out)
+scanString(std::string_view s, size_t &i, Text &text)
 {
     if (i >= s.size() || s[i] != '"')
         return Status::parseError("expected '\"' at offset ", i);
     i++;
+    // Fast path: a closing quote with no backslash before it ends the
+    // string, which is then the span itself — no per-byte copy of a
+    // chunk payload.
+    const char *begin = s.data() + i;
+    const auto *quote = static_cast<const char *>(
+        std::memchr(begin, '"', s.size() - i));
+    if (quote && !std::memchr(begin, '\\', quote - begin)) {
+        text.raw = std::string_view(begin, quote - begin);
+        text.escaped = false;
+        i += text.raw.size() + 1;
+        return Status::okStatus();
+    }
+    text.escaped = true;
+    std::string &out = text.unescaped;
     out.clear();
     while (i < s.size() && s[i] != '"') {
         char c = s[i++];
@@ -141,14 +173,14 @@ scanObject(std::string_view line, std::vector<Field> &fields)
             skipSpace(line, i);
             if (i >= line.size() || line[i] != ':')
                 return Status::parseError("expected ':' after key '",
-                                          field.key, "'");
+                                          field.key.view(), "'");
             i++;
             if (Status st = scanValue(line, i, field); !st.ok())
                 return st;
             for (const Field &seen : fields)
-                if (seen.key == field.key)
+                if (seen.key.view() == field.key.view())
                     return Status::parseError("duplicate key '",
-                                              field.key, "'");
+                                              field.key.view(), "'");
             fields.push_back(std::move(field));
             skipSpace(line, i);
             if (i < line.size() && line[i] == ',') {
@@ -173,7 +205,7 @@ const Field *
 findField(const std::vector<Field> &fields, std::string_view key)
 {
     for (const Field &f : fields)
-        if (f.key == key)
+        if (f.key.view() == key)
             return &f;
     return nullptr;
 }
@@ -190,7 +222,8 @@ uintField(const std::vector<Field> &fields, std::string_view key)
     return f->num;
 }
 
-StatusOr<std::string>
+/** A string field's value, viewing the line or its field. */
+StatusOr<std::string_view>
 strField(const std::vector<Field> &fields, std::string_view key)
 {
     const Field *f = findField(fields, key);
@@ -199,7 +232,7 @@ strField(const std::vector<Field> &fields, std::string_view key)
     if (f->kind != Field::Str)
         return Status::invalidArgument("field '", key,
                                        "' must be a string");
-    return f->str;
+    return f->str.view();
 }
 
 /** JSON string escaping for the few names that can need it. */
@@ -242,16 +275,29 @@ responseHead(std::string_view event)
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-int
-hexNibble(char c)
+/** Digits of the packed words of @p bits, 16 per word. */
+size_t
+hexSize(const BitColumnMatrix &bits)
 {
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
+    return bits.cols() * bits.wordsPerCol() * 16;
+}
+
+/** Append the hex of @p bits, writing in place after one resize. */
+void
+appendBitsHex(std::string &out, const BitColumnMatrix &bits)
+{
+    const size_t wpc = bits.wordsPerCol();
+    const size_t at = out.size();
+    out.resize(at + hexSize(bits));
+    char *digit = out.data() + at;
+    for (size_t c = 0; c < bits.cols(); ++c) {
+        const uint64_t *words = bits.colWords(c);
+        for (size_t w = 0; w < wpc; ++w, digit += 16) {
+            uint64_t value = words[w];
+            for (int k = 15; k >= 0; --k, value >>= 4)
+                digit[k] = kHexDigits[value & 0xF];
+        }
+    }
 }
 
 } // namespace
@@ -286,19 +332,13 @@ std::string
 encodeBitsHex(const BitColumnMatrix &bits)
 {
     std::string out;
-    const size_t wpc = bits.wordsPerCol();
-    out.reserve(bits.cols() * wpc * 16);
-    for (size_t c = 0; c < bits.cols(); ++c) {
-        const uint64_t *words = bits.colWords(c);
-        for (size_t w = 0; w < wpc; ++w)
-            for (int shift = 60; shift >= 0; shift -= 4)
-                out += kHexDigits[(words[w] >> shift) & 0xF];
-    }
+    appendBitsHex(out, bits);
     return out;
 }
 
 StatusOr<BitColumnMatrix>
-decodeBitsHex(std::string_view hex, size_t rows, size_t cols)
+decodeBitsHex(std::string_view hex, size_t rows, size_t cols,
+              const hexkernels::Kernels &kernels)
 {
     // Validate the declared size BEFORE allocating: rows/cols come
     // from the untrusted peer, and BitColumnMatrix(rows, cols)
@@ -324,24 +364,16 @@ decodeBitsHex(std::string_view hex, size_t rows, size_t cols)
     const uint64_t tail_mask =
         (rows % 64 == 0) ? ~uint64_t{0}
                          : ((uint64_t{1} << (rows % 64)) - 1);
-    size_t i = 0;
+    // One column at a time, so a bad digit and a forged tail are
+    // reported in payload order.
     for (size_t c = 0; c < cols; ++c) {
         uint64_t *out = bits.colWordsMutable(c);
-        for (size_t w = 0; w < wpc; ++w) {
-            uint64_t value = 0;
-            for (int k = 0; k < 16; ++k) {
-                const int nibble = hexNibble(hex[i++]);
-                if (nibble < 0)
-                    return Status::parseError(
-                        "non-hex digit in bits payload");
-                value = (value << 4) | static_cast<uint64_t>(nibble);
-            }
-            if (w + 1 == wpc && (value & ~tail_mask) != 0)
-                return Status::parseError(
-                    "bits payload has set bits past row ", rows,
-                    " in column ", c);
-            out[w] = value;
-        }
+        if (!kernels.decodeWords(hex.data() + c * wpc * 16, wpc, out))
+            return Status::parseError("non-hex digit in bits payload");
+        if (wpc != 0 && (out[wpc - 1] & ~tail_mask) != 0)
+            return Status::parseError(
+                "bits payload has set bits past row ", rows,
+                " in column ", c);
     }
     return bits;
 }
@@ -360,7 +392,7 @@ parseRequestLine(std::string_view line)
         return Status::invalidArgument("unsupported schema_version ",
                                        *version, ", this build speaks ",
                                        kSchemaVersion);
-    StatusOr<std::string> op = strField(fields, "op");
+    StatusOr<std::string_view> op = strField(fields, "op");
     if (!op.ok())
         return op.status();
 
@@ -388,29 +420,31 @@ parseRequestLine(std::string_view line)
     for (const Field &f : fields) {
         bool known = false;
         for (std::string_view key : allowed)
-            known = known || f.key == key;
+            known = known || f.key.view() == key;
         if (!known)
-            return Status::invalidArgument("unexpected field '", f.key,
+            return Status::invalidArgument("unexpected field '",
+                                           f.key.view(),
                                            "' for op '", *op, "'");
     }
 
     if (request.op != RequestOp::ListModels) {
-        StatusOr<std::string> session = strField(fields, "session");
+        StatusOr<std::string_view> session =
+            strField(fields, "session");
         if (!session.ok())
             return session.status();
         if (!validSessionName(*session))
             return Status::invalidArgument(
                 "session names are 1-64 chars of [A-Za-z0-9_-]");
-        request.session = std::move(*session);
+        request.session = *session;
     }
 
     if (request.op == RequestOp::CreateSession) {
-        StatusOr<std::string> model = strField(fields, "model");
+        StatusOr<std::string_view> model = strField(fields, "model");
         if (!model.ok())
             return model.status();
         if (model->empty())
             return Status::invalidArgument("model must be non-empty");
-        request.model = std::move(*model);
+        request.model = *model;
         if (findField(fields, "window_t")) {
             StatusOr<uint64_t> window = uintField(fields, "window_t");
             if (!window.ok())
@@ -424,7 +458,7 @@ parseRequestLine(std::string_view line)
     if (request.op == RequestOp::SubmitChunk) {
         StatusOr<uint64_t> cycles = uintField(fields, "cycles");
         StatusOr<uint64_t> proxies = uintField(fields, "proxies");
-        StatusOr<std::string> payload = strField(fields, "bits");
+        StatusOr<std::string_view> payload = strField(fields, "bits");
         if (!cycles.ok())
             return cycles.status();
         if (!proxies.ok())
@@ -471,7 +505,9 @@ encodeRequest(const WireRequest &request)
         out += ",\"proxies\":";
         out += std::to_string(request.bits.cols());
         out += ",\"bits\":\"";
-        out += encodeBitsHex(request.bits);
+        // One allocation for the payload and the closing "}\n.
+        out.reserve(out.size() + hexSize(request.bits) + 3);
+        appendBitsHex(out, request.bits);
         out += '"';
         break;
     case RequestOp::CloseSession:

@@ -25,6 +25,7 @@
 #include "serve/model_registry.hh"
 #include "serve/session_manager.hh"
 #include "util/bitvec.hh"
+#include "util/hex_kernels.hh"
 #include "util/status.hh"
 
 namespace apollo::serve {
@@ -95,9 +96,12 @@ std::string encodeBitsHex(const BitColumnMatrix &bits);
  * matrix. ParseError for non-hex input, a length not equal to
  * cols * wordsPerCol words, or set bits past @p rows in a column's
  * tail word (the zero-tail contract the compute kernels rely on).
+ * Digits may be upper or lower case. @p kernels picks the hex decode
+ * tier; every tier gives the same matrix and Status.
  */
-StatusOr<BitColumnMatrix> decodeBitsHex(std::string_view hex,
-                                        size_t rows, size_t cols);
+StatusOr<BitColumnMatrix> decodeBitsHex(
+    std::string_view hex, size_t rows, size_t cols,
+    const hexkernels::Kernels &kernels = hexkernels::kernels());
 
 } // namespace apollo::serve
 

@@ -312,6 +312,9 @@ class BitColumnMatrix
         return out;
     }
 
+    /** Same shape and the same packed words, tail bits included. */
+    bool operator==(const BitColumnMatrix &other) const = default;
+
   private:
     size_t rows_ = 0;
     size_t cols_ = 0;

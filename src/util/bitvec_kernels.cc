@@ -100,6 +100,13 @@ axpyWordsPortable(const uint64_t *words, size_t nwords, size_t nrows,
 
 #ifdef APOLLO_HAVE_AVX512_KERNELS
 
+// gcc 12 reports the _mm*_undefined_* placeholders inside its AVX-512
+// intrinsic headers as uninitialized uses; the generated code is the
+// same with the warnings off.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 /**
  * AVX-512 dot: each 16-bit slice of the word masks one zero-filling
  * vector load (inactive lanes never fault, so the trailing partial
@@ -252,6 +259,8 @@ axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
     }
     (void)nrows;
 }
+
+#pragma GCC diagnostic pop
 
 #endif // APOLLO_HAVE_AVX512_KERNELS
 

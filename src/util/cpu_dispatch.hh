@@ -3,7 +3,7 @@
  * The one place that decides which SIMD code may run: CPUID feature
  * probes plus the environment overrides every runtime-dispatched
  * kernel family honours (util/bitvec_kernels, util/hash_kernels,
- * util/popcnt_kernels).
+ * util/popcnt_kernels, util/hex_kernels).
  *
  * Overrides (a switch counts as set when non-empty and not starting
  * with '0'):

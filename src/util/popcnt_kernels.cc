@@ -222,6 +222,13 @@ constexpr Kernels kAvx2Kernels = {countWordsAvx2, countRangeAvx2,
 
 // --- AVX-512 VPOPCNTDQ --------------------------------------------------
 
+// gcc 12 reports the _mm*_undefined_* placeholders inside its AVX-512
+// intrinsic headers as uninitialized uses; the generated code is the
+// same with the warnings off.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 #define APOLLO_POPCNT_AVX512_TARGET                                     \
     "avx512f,avx512bw,avx512dq,avx512vl,avx512vpopcntdq,popcnt"
 
@@ -304,6 +311,8 @@ accumWindowSumsAvx512(const uint64_t *words, size_t nbits, uint32_t T,
 
 constexpr Kernels kAvx512Kernels = {countWordsAvx512, countRangeAvx512,
                                     accumWindowSumsAvx512};
+
+#pragma GCC diagnostic pop
 
 #endif // APOLLO_HAVE_X86_POPCNT_KERNELS
 

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -41,8 +42,10 @@
 #include "ref/reference_kernels.hh"
 #include "ref/reference_shard.hh"
 #include "ref/reference_solver.hh"
+#include "ref/reference_wire.hh"
 #include "trace/shard_store.hh"
 #include "trace/stream_reader.hh"
+#include "util/hex_kernels.hh"
 #include "util/logging.hh"
 
 namespace apollo::harness {
@@ -1355,6 +1358,70 @@ runDroopTrigger(uint64_t seed)
                c.power.size());
 }
 
+// ---------------------------------------------------------------------
+// Serve wire payload decode (exact words, Status code and message).
+// ---------------------------------------------------------------------
+
+std::optional<std::string>
+runWireDecodeHex(uint64_t seed)
+{
+    Xoshiro256StarStar rng(seed);
+    const size_t rows = 1 + rng.nextBounded(300);
+    const size_t cols = 1 + rng.nextBounded(6);
+    std::string hex = serve::encodeBitsHex(
+        randomBits(rng, rows, cols, rng.nextRange(0.05, 0.95)));
+    for (char &ch : hex)
+        if (rng.nextBounded(2) == 0)
+            ch = static_cast<char>(
+                std::toupper(static_cast<unsigned char>(ch)));
+    // Three of eight cases are corrupted: one digit replaced by a byte
+    // just outside a digit range (or by any byte), the top digit of a
+    // column's tail word forged, or one digit dropped.
+    static constexpr char kEdges[] = "/:@G`g\xb0\xc1";
+    std::string shape = fmt("%zux%zu", rows, cols);
+    const size_t wpc = (rows + 63) / 64;
+    switch (rng.nextBounded(8)) {
+      case 0:
+        hex[rng.nextBounded(hex.size())] =
+            rng.nextBounded(2) == 0
+                ? kEdges[rng.nextBounded(sizeof(kEdges) - 1)]
+                : static_cast<char>(rng.nextBounded(256));
+        shape += "_byte";
+        break;
+      case 1:
+        hex[(rng.nextBounded(cols) * wpc + wpc - 1) * 16] = 'f';
+        shape += "_tail";
+        break;
+      case 2:
+        hex.pop_back();
+        shape += "_short";
+        break;
+      default:
+        break;
+    }
+    const StatusOr<BitColumnMatrix> want =
+        ref::decodeBitsHex(hex, rows, cols);
+    for (hexkernels::Impl impl :
+         {hexkernels::Impl::Scalar, hexkernels::Impl::Avx2}) {
+        if (!hexkernels::implAvailable(impl))
+            continue;
+        const StatusOr<BitColumnMatrix> got = serve::decodeBitsHex(
+            hex, rows, cols, hexkernels::implKernels(impl));
+        const char *tier = hexkernels::implName(impl);
+        if (got.ok() != want.ok() ||
+            (!want.ok() && got.status().toString() !=
+                               want.status().toString()))
+            return fmt("shape=%s tier=%s: prod '%s' ref '%s'",
+                       shape.c_str(), tier,
+                       got.status().toString().c_str(),
+                       want.status().toString().c_str());
+        if (want.ok() && *got != *want)
+            return fmt("shape=%s tier=%s: decoded words differ",
+                       shape.c_str(), tier);
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 const std::vector<OracleEntry> &
@@ -1380,6 +1447,7 @@ oracleRegistry()
         {"gen.fitness_power", runFitnessPower},
         {"gen.ga_pipeline", runGaPipeline},
         {"control.droop_trigger", runDroopTrigger},
+        {"wire.decode_hex", runWireDecodeHex},
     };
     return registry;
 }

@@ -21,6 +21,8 @@
 
 #include "apollo.hh"
 #include "ref/reference_kernels.hh"
+#include "ref/reference_wire.hh"
+#include "util/hex_kernels.hh"
 
 namespace apollo {
 namespace {
@@ -854,6 +856,170 @@ TEST(ServeWire, BitsHexRoundTrip)
                   .status()
                   .code(),
               StatusCode::ParseError);
+}
+
+// ---------------------------------------------------------------------
+// Wire payload decode: every dispatched hex tier vs the ref oracle
+// ---------------------------------------------------------------------
+
+/** The hex decode tiers this host can run. */
+std::vector<hexkernels::Impl>
+hexTiers()
+{
+    std::vector<hexkernels::Impl> tiers;
+    for (hexkernels::Impl impl :
+         {hexkernels::Impl::Scalar, hexkernels::Impl::Avx2})
+        if (hexkernels::implAvailable(impl))
+            tiers.push_back(impl);
+    return tiers;
+}
+
+/**
+ * Decode @p hex on every tier and through the oracle; each tier must
+ * return the oracle's Status (code and message) and, on success, its
+ * words.
+ */
+void
+expectTiersMatchOracle(std::string_view hex, size_t rows, size_t cols,
+                       const std::string &what)
+{
+    const StatusOr<BitColumnMatrix> want =
+        ref::decodeBitsHex(hex, rows, cols);
+    for (hexkernels::Impl impl : hexTiers()) {
+        const StatusOr<BitColumnMatrix> got = serve::decodeBitsHex(
+            hex, rows, cols, hexkernels::implKernels(impl));
+        const std::string where =
+            what + " tier=" + hexkernels::implName(impl);
+        ASSERT_EQ(got.ok(), want.ok()) << where;
+        if (!want.ok()) {
+            ASSERT_EQ(got.status().code(), want.status().code()) << where;
+            ASSERT_EQ(got.status().message(), want.status().message())
+                << where;
+            continue;
+        }
+        ASSERT_TRUE(*got == *want) << where;
+    }
+}
+
+std::string
+withCase(std::string hex, int mode)
+{
+    for (size_t i = 0; i < hex.size(); ++i)
+        if (mode == 1 || (mode == 2 && i % 3 == 0))
+            hex[i] = static_cast<char>(
+                std::toupper(static_cast<unsigned char>(hex[i])));
+    return hex;
+}
+
+TEST(ServeWireDecode, EveryByteAtEveryDigitMatchesOracle)
+{
+    // One column of three words: words 0-1 are a two-word SIMD block,
+    // word 2 the scalar tail.
+    const size_t rows = 3 * 64;
+    const std::string base = withCase(
+        serve::encodeBitsHex(randomMatrix(rows, 1, 0xD1, 50)), 2);
+    ASSERT_EQ(base.size(), 48u);
+    for (size_t pos = 0; pos < base.size(); ++pos)
+        for (int byte = 0; byte < 256; ++byte) {
+            std::string hex = base;
+            hex[pos] = static_cast<char>(byte);
+            expectTiersMatchOracle(hex, rows, 1,
+                                   "pos=" + std::to_string(pos) +
+                                       " byte=" + std::to_string(byte));
+            if (HasFatalFailure())
+                return;
+        }
+}
+
+TEST(ServeWireDecode, ShapesAndCasesMatchOracle)
+{
+    for (size_t rows : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                        size_t{127}, size_t{128}, size_t{129},
+                        size_t{2048}})
+        for (size_t cols : {size_t{1}, size_t{3}, size_t{159}}) {
+            const BitColumnMatrix m =
+                randomMatrix(rows, cols, rows * 1000 + cols, 40);
+            const std::string hex = serve::encodeBitsHex(m);
+            for (int mode : {0, 1, 2}) {
+                const std::string what =
+                    std::to_string(rows) + "x" + std::to_string(cols) +
+                    " case=" + std::to_string(mode);
+                const std::string cased = withCase(hex, mode);
+                expectTiersMatchOracle(cased, rows, cols, what);
+                const StatusOr<BitColumnMatrix> back =
+                    serve::decodeBitsHex(cased, rows, cols);
+                ASSERT_TRUE(back.ok()) << what;
+                ASSERT_TRUE(*back == m) << what;
+
+                // A forged tail in the last column, a bad digit in
+                // the middle, and a payload one digit short.
+                std::string bad = cased;
+                if (rows % 64 != 0) {
+                    bad[bad.size() - 16] = '8';
+                    expectTiersMatchOracle(bad, rows, cols,
+                                           what + " forged tail");
+                }
+                bad = cased;
+                bad[bad.size() / 2] = 'g';
+                expectTiersMatchOracle(bad, rows, cols,
+                                       what + " bad digit");
+                expectTiersMatchOracle(
+                    std::string_view(cased).substr(1), rows, cols,
+                    what + " short");
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+}
+
+TEST(ServeWireDecode, RequestsKeepTheirStatusCodes)
+{
+    // Escaped strings take the scanner's slow path; each request keeps
+    // the Status code (and decoded value) it has always had.
+    struct Case
+    {
+        std::string line;
+        StatusCode code;
+    };
+    const std::string submit =
+        R"({"schema_version":1,"op":"submit_chunk","session":"s",)"
+        R"("cycles":1,"proxies":1,"bits":")";
+    const Case cases[] = {
+        {R"({"schema_version":1,"op":"close_session","session":"a\/b"})",
+         StatusCode::InvalidArgument},
+        {R"({"schema_version":1,"op":"list\/models"})",
+         StatusCode::InvalidArgument},
+        {R"({"a\/":1,"a/":2})", StatusCode::ParseError},
+        {R"({"schema_version":1,"op":"close_session","se\/ssion":"a"})",
+         StatusCode::InvalidArgument},
+        {R"({"schema_version":1,"op":"close_session","session":"a\)",
+         StatusCode::ParseError},
+        {R"({"schema_version":1,"op":"close_session","session":"a\u0041"})",
+         StatusCode::ParseError},
+        {R"({"schema_version":1,"op":"close_session","session":"a)",
+         StatusCode::ParseError},
+        // "\/" inside a payload unescapes to a non-hex '/'.
+        {submit + R"(000000000000000\/"})", StatusCode::ParseError},
+        {submit + R"(0000000000000000\/"})", StatusCode::ParseError},
+        {submit + R"(00000000\"0000001"})", StatusCode::ParseError},
+        {submit + R"(0000000000000001\"})", StatusCode::ParseError},
+        {submit + R"(000000000000000g"})", StatusCode::ParseError},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(serve::parseRequestLine(c.line).status().code(), c.code)
+            << c.line;
+
+    StatusOr<serve::WireRequest> escaped = serve::parseRequestLine(
+        R"({"schema_version":1,"op":"create_session","session":"s",)"
+        R"("model":"m\/x\"\\\n"})");
+    ASSERT_TRUE(escaped.ok()) << escaped.status().toString();
+    EXPECT_EQ(escaped->model, "m/x\"\\\n");
+
+    StatusOr<serve::WireRequest> upper = serve::parseRequestLine(
+        R"({"schema_version":1,"op":"submit_chunk","session":"s",)"
+        R"("cycles":64,"proxies":1,"bits":"ABCDEF0123456789"})");
+    ASSERT_TRUE(upper.ok()) << upper.status().toString();
+    EXPECT_EQ(upper->bits.colWords(0)[0], 0xABCDEF0123456789ULL);
 }
 
 // ---------------------------------------------------------------------

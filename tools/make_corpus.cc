@@ -1,15 +1,17 @@
 /**
  * @file
- * Regenerates the checked-in fuzz seed corpus (tests/corpus/aptr and
- * tests/corpus/dataset): small valid APTR / APDS artifacts plus
- * systematically malformed
- * variants (truncations at interesting offsets, bad magics, absurd
- * declared sizes). Deterministic — running it twice produces identical
- * bytes, so the corpus only changes when the formats do.
+ * Regenerates the checked-in fuzz seed corpus (tests/corpus/aptr,
+ * tests/corpus/dataset and tests/corpus/wire): small valid APTR /
+ * APDS artifacts and serve wire requests plus systematically
+ * malformed variants (truncations at interesting offsets, bad magics,
+ * absurd declared sizes, forged payload tails, non-hex digits).
+ * Deterministic — running it twice produces identical bytes, so the
+ * corpus only changes when the formats do.
  *
  * Usage: make_corpus <output-dir>
  */
 
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +21,7 @@
 
 #include "trace/dataset.hh"
 #include "trace/dataset_io.hh"
+#include "serve/wire.hh"
 #include "trace/stream_reader.hh"
 #include "util/bitvec.hh"
 #include "util/rng.hh"
@@ -137,6 +140,83 @@ makeDatasetCorpus(const fs::path &dir)
     writeFile(dir / "huge_cols.apds", patch(valid, 16, &huge, 8));
 }
 
+/** @p hex with the character at @p at replaced by @p c. */
+std::string
+withChar(std::string hex, size_t at, char c)
+{
+    hex[at] = c;
+    return hex;
+}
+
+void
+makeWireCorpus(const fs::path &dir)
+{
+    // 129 rows x 3 proxies: three words per column, so each column
+    // holds one two-word SIMD block and one scalar tail word, and the
+    // last word of each column has 63 bits that must stay zero.
+    Xoshiro256StarStar rng(hashMix(0xa3e1));
+    const size_t rows = 129;
+    BitColumnMatrix bits(rows, 3);
+    for (size_t c = 0; c < bits.cols(); ++c)
+        for (size_t r = 0; r < rows; ++r)
+            if (rng.nextDouble() < 0.4)
+                bits.setBit(r, c);
+
+    serve::WireRequest req;
+    req.session = "s0";
+    req.op = serve::RequestOp::CreateSession;
+    req.model = "opm_q10";
+    writeFile(dir / "create_session.ndjson", serve::encodeRequest(req));
+    req.op = serve::RequestOp::CloseSession;
+    writeFile(dir / "close_session.ndjson", serve::encodeRequest(req));
+    req.op = serve::RequestOp::CancelSession;
+    writeFile(dir / "cancel_session.ndjson", serve::encodeRequest(req));
+    req.op = serve::RequestOp::ListModels;
+    writeFile(dir / "list_models.ndjson", serve::encodeRequest(req));
+
+    req.op = serve::RequestOp::SubmitChunk;
+    req.session = "s0";
+    req.bits = bits;
+    const std::string submit = serve::encodeRequest(req);
+    writeFile(dir / "submit_chunk.ndjson", submit);
+
+    const std::string hex = serve::encodeBitsHex(bits);
+    const size_t at = submit.find(hex);
+    const auto withPayload = [&](const std::string &payload) {
+        return submit.substr(0, at) + payload +
+               submit.substr(at + hex.size());
+    };
+    std::string upper = hex;
+    for (char &c : upper)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    // Column 0 is digits [0, 48): words 0-1 are [0, 32) and the tail
+    // word [32, 48). Digit 32 is the tail word's top nibble, rows
+    // 188-191, all past the end.
+    const std::string forged = withChar(hex, 32, 'f');
+    const std::string bad_simd = withChar(hex, 21, 'g');
+    const std::string bad_tail = withChar(hex, 40, 'G');
+    writeFile(dir / "submit_upper.ndjson", withPayload(upper));
+    writeFile(dir / "submit_forged_tail.ndjson", withPayload(forged));
+    writeFile(dir / "submit_bad_digit_simd.ndjson",
+              withPayload(bad_simd));
+    writeFile(dir / "submit_bad_digit_tail.ndjson",
+              withPayload(bad_tail));
+    writeFile(dir / "submit_short.ndjson",
+              withPayload(hex.substr(0, hex.size() - 1)));
+    writeFile(dir / "submit_long.ndjson", withPayload(hex + "0"));
+
+    // Decode cases (see tests/fuzz/fuzz_wire.cc): byte 0 = 2 picks
+    // three columns, byte 1 = 63 makes 3 * 64 - 63 = 129 rows.
+    const std::string dims = {2, 63};
+    writeFile(dir / "decode_valid.bin", dims + hex);
+    writeFile(dir / "decode_upper.bin", dims + upper);
+    writeFile(dir / "decode_forged_tail.bin", dims + forged);
+    writeFile(dir / "decode_bad_digit_simd.bin", dims + bad_simd);
+    writeFile(dir / "decode_bad_digit_tail.bin", dims + bad_tail);
+    writeFile(dir / "decode_short.bin",
+              dims + hex.substr(0, hex.size() - 16));
+}
+
 } // namespace
 
 int
@@ -147,9 +227,10 @@ main(int argc, char **argv)
         return 2;
     }
     const fs::path root(argv[1]);
-    for (const char *sub : {"aptr", "dataset"})
+    for (const char *sub : {"aptr", "dataset", "wire"})
         fs::create_directories(root / sub);
     makeAptrCorpus(root / "aptr");
     makeDatasetCorpus(root / "dataset");
+    makeWireCorpus(root / "wire");
     return 0;
 }

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Time-boxed fuzzing of the untrusted-input parsers (APTR proxy
-# traces, packed APTR columns, dataset streams). Each target replays the checked
-# in corpus in tests/corpus/<target>/ and then runs seeded random
-# mutations until its time budget expires; any crash, sanitizer
+# traces, packed APTR columns, dataset streams, serve wire requests).
+# Each target replays the checked in corpus in tests/corpus/<target>/
+# and then runs seeded random mutations until its time budget
+# expires; any crash, sanitizer
 # report, or uncaught exception aborts with a FUZZ-BUG line carrying
 # the replay seed (docs/INTERNALS.md section 8).
 #
 # Usage: tools/run_fuzz.sh [seconds-per-target] [target...]
-#   tools/run_fuzz.sh              # 60s each: aptr, dataset, packed
+#   tools/run_fuzz.sh              # 60s each: aptr, dataset, packed, wire
 #   tools/run_fuzz.sh 300 aptr     # 5 minutes on the APTR parser only
 #
 # Environment:
@@ -21,7 +22,7 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 SECONDS_PER_TARGET=${1:-60}
 shift || true
 TARGETS=("$@")
-[[ ${#TARGETS[@]} -gt 0 ]] || TARGETS=(aptr dataset packed)
+[[ ${#TARGETS[@]} -gt 0 ]] || TARGETS=(aptr dataset packed wire)
 
 cmake -B "$BUILD_DIR" -S . -DAPOLLO_SANITIZE=ON
 for t in "${TARGETS[@]}"; do

@@ -42,7 +42,7 @@ cmake -B "$BUILD_DIR" -S . "${san_flags[@]}" "${obs_flags[@]}"
 cmake --build "$BUILD_DIR" -j --target apollo_tests \
     --target apollo_oracle_tests \
     --target fuzz_aptr --target fuzz_dataset \
-    --target fuzz_packed
+    --target fuzz_packed --target fuzz_wire
 
 if [[ $# -gt 0 ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
